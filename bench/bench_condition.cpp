@@ -1,5 +1,5 @@
-// Condition evaluation head-to-head: the tree-walk evaluator vs the
-// compiled-condition VM on the same expressions and container states.
+// Condition evaluation head-to-head: the tree-walk evaluator vs the typed
+// condition VM on the same expressions and container states.
 // The micro benchmark isolates pure evaluation cost (no navigation); the
 // expressions range from the trivial guard every connector carries to the
 // wide multi-clause predicates transaction-model translations emit.
@@ -49,9 +49,8 @@ data::TypeRegistry* WideRegistry() {
 }
 
 // args: {expression index, evaluator}. Reported as evals/s.
-// Evaluator 0 = tree-walk, 1 = generic VM (operand-kind dispatch per op),
-// 2 = typed monomorphic VM (the "Wide" members are all longs, so every
-// expression above types statically).
+// Evaluator 0 = tree-walk, 1 = typed VM (the "Wide" members are all longs,
+// so every expression above types statically).
 void BM_ConditionEval(benchmark::State& state) {
   const auto expr_idx = static_cast<size_t>(state.range(0));
   const int evaluator = static_cast<int>(state.range(1));
@@ -69,17 +68,10 @@ void BM_ConditionEval(benchmark::State& state) {
   if (!cond.ok()) std::abort();
   auto prog = expr::ConditionCompiler::Compile(cond->root(), *container);
   if (!prog.ok()) std::abort();
-  if (evaluator == 2 && !prog->typed()) std::abort();
 
-  if (evaluator == 2) {
+  if (evaluator == 1) {
     for (auto _ : state) {
-      auto r = prog->EvaluateBool(*container);  // runs the typed program
-      if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-      benchmark::DoNotOptimize(r);
-    }
-  } else if (evaluator == 1) {
-    for (auto _ : state) {
-      auto r = prog->EvaluateBoolGeneric(*container);
+      auto r = prog->EvaluateBool(*container);
       if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
       benchmark::DoNotOptimize(r);
     }
@@ -96,9 +88,9 @@ void BM_ConditionEval(benchmark::State& state) {
 }
 BENCHMARK(BM_ConditionEval)
     ->ArgNames({"expr", "vm"})
-    ->Args({0, 0})->Args({0, 1})->Args({0, 2})
-    ->Args({1, 0})->Args({1, 1})->Args({1, 2})
-    ->Args({2, 0})->Args({2, 1})->Args({2, 2});
+    ->Args({0, 0})->Args({0, 1})
+    ->Args({1, 0})->Args({1, 1})
+    ->Args({2, 0})->Args({2, 1});
 
 // Compilation cost itself: what plan registration pays per condition.
 void BM_ConditionCompile(benchmark::State& state) {

@@ -1,20 +1,11 @@
 // Shared condition-evaluation kernels and error-message tables.
 //
-// Four evaluators now execute condition semantics: the tree-walk reference
-// (eval.cc), the generic VM and the typed monomorphic VM (vm.cc), and the
-// native x86-64 step-program emitter (src/codegen/step_jit.cc). Their
-// contract is byte-identical results *and* byte-identical error strings —
-// asserted by the four-way differential property test — so the comparison
-// semantics and every data-dependent error message live here, once, and
-// each evaluator consumes this header instead of replicating the table.
-//
-// The native emitter cannot call CompareDouble at runtime, but its
-// comparison lowering is this function transcribed instruction for
-// instruction (see the table in docs/specs/native_codegen.md): kLe is
-// lowered as !(x > y) and kGe as !(x < y), never as their IEEE <=/>=
-// forms, because that is how the tree-walk kernel's three-way cmp behaves
-// on NaN and how CompareDouble spells it below. Changing this header
-// changes the required lowering.
+// Two evaluators execute condition semantics: the tree-walk reference
+// (eval.cc) and the typed condition VM (vm.cc). Their contract is
+// byte-identical results *and* byte-identical error strings — asserted by
+// the differential property test — so the comparison semantics and every
+// data-dependent error message live here, once, and both evaluators
+// consume this header instead of replicating the table.
 
 #ifndef EXOTICA_EXPR_KERNELS_H_
 #define EXOTICA_EXPR_KERNELS_H_
@@ -40,9 +31,7 @@ inline constexpr const char kModuloByZero[] = "modulo by zero in condition";
 /// kLe/kGe are the kernel's cmp<=0 / cmp>=0 — spelled !(x>y) / !(x<y), not
 /// x<=y / x>=y. For ordinary doubles the forms agree; the spelling is kept
 /// negated so a future NaN-bearing source (none exists today: Set() only
-/// stores parsed literals) cannot make the evaluators diverge, and so the
-/// native lowering (ucomisd + seta/setbe with swapped operand order) maps
-/// one-to-one onto this switch.
+/// stores parsed literals) cannot make the evaluators diverge.
 inline bool CompareDouble(BinaryOp op, double x, double y) {
   switch (op) {
     case BinaryOp::kEq: return x == y;
@@ -56,8 +45,7 @@ inline bool CompareDouble(BinaryOp op, double x, double y) {
 }
 
 /// \brief Widening used by every evaluator when a long meets a float (and
-/// by the typed VM's kI64ToF64 instructions). The native emitter's
-/// cvtsi2sd is this cast in hardware.
+/// by the typed VM's kI64ToF64 instructions).
 inline double WidenLong(int64_t v) { return static_cast<double>(v); }
 
 }  // namespace exotica::expr::internal

@@ -1,5 +1,5 @@
-// CompiledCondition: slot-resolved postfix bytecode for condition
-// expressions, with an optional typed (monomorphic) program beside it.
+// CompiledCondition: a typed, slot-resolved program for one condition
+// expression.
 //
 // The tree-walk evaluator (eval.h) resolves every identifier through a
 // virtual ValueResolver and a string-keyed Container::Get per reference —
@@ -7,34 +7,22 @@
 // expression lowered once, at NavigationPlan build time, into a flat
 // program: identifiers become integer slot loads against the container's
 // immutable Layout, constants are folded, and AND/OR become short-circuit
-// jumps. Evaluation walks a vector of fixed-width instructions over a
-// fixed-size value stack and never touches a string or allocates on the
-// success path.
+// jumps.
 //
-// Two programs can coexist in one CompiledCondition:
+// The program is *typed*: the compiler proves every operand's scalar type
+// from the container layout's declared member types, so its instructions
+// are monomorphic (kLoadI64, kCmpLtF64, kAndJumpFalse, ...) and run over a
+// stack of raw machine scalars — no Value construction, no operand-kind
+// switch, no type checks that the typing pass already discharged.
+// Expressions the pass cannot fully type (string operands, mixed typing
+// that would be a runtime type error, null literals) get no program at
+// all; the navigator tree-walks them (see compile.h).
 //
-//   * the *generic* program, whose binary operators re-discover their
-//     operand kinds (long/float/string/bool) on every execution, exactly
-//     like the tree-walk; it exists for every compilable expression; and
-//   * the *typed* program, emitted only when the container layout's
-//     declared member scalar types let the compiler type the whole
-//     expression statically. Its instructions are monomorphic
-//     (kLoadI64, kCmpLtF64, kAndJumpFalse, ...) and run over a stack of
-//     raw machine scalars — no Value construction, no operand-kind
-//     switch, no type checks that the typing pass already discharged.
-//     Expressions the pass cannot fully type (string operands, mixed
-//     typing that would be a runtime type error, null literals) simply
-//     have no typed program and run the generic one.
-//
-// Semantics are exactly those of expr::Evaluate — both programs share (or
-// replicate instruction for instruction) the binary operator kernels in
-// expr::internal — including error *messages*, so the differential
-// property test can demand byte-identical outcomes across tree-walk,
-// generic VM, and typed VM. In particular the typed program widens long
-// comparisons through double exactly like internal::CompareOp, and its
-// division/modulo guards raise the kernels' exact errors. The tree-walk
-// stays as the reference implementation and the fallback for expressions
-// the compiler cannot bind (see compile.h).
+// Semantics are exactly those of expr::Evaluate, including error
+// *messages*: the typed program widens long comparisons through double
+// exactly like internal::CompareOp, and its division/modulo guards raise
+// the kernels' exact errors, so the differential property test can demand
+// byte-identical outcomes against the tree-walk reference.
 //
 // A CompiledCondition is immutable after compilation and holds no mutable
 // evaluation state, so one program may be evaluated concurrently from many
@@ -57,40 +45,15 @@ namespace internal {
 class ConditionEmitter;
 }  // namespace internal
 
-/// \brief A compiled, slot-resolved condition program.
+/// \brief A compiled, typed, slot-resolved condition program.
 class CompiledCondition {
  public:
-  /// \brief Postfix opcodes of the generic program. Binary operators pop
-  /// two operands and push one result; loads and constants push one value.
-  enum class Op : uint8_t {
-    kConst,  ///< push consts[a]
-    kLoad,   ///< push container slot `a` (declared default if unwritten);
-             ///< a null read is an evaluation error (names[b] names it)
-    kNot,    ///< boolean negation of the top of stack
-    kNeg,    ///< numeric negation of the top of stack
-    // Comparisons (same-kind / numeric pairs; see expr::internal::CompareOp).
-    kEq, kNeq, kLt, kLe, kGt, kGe,
-    // Arithmetic (numerics; % requires longs; /0 errors).
-    kAdd, kSub, kMul, kDiv, kMod,
-    kAndJump,      ///< pop v (must be bool); if !v push FALSE and jump to a
-    kOrJump,       ///< pop v (must be bool); if v push TRUE and jump to a
-    kRequireBool,  ///< top of stack must be bool (a: 0=AND, 1=OR names the
-                   ///< operator in the error); leaves the value in place
-  };
-
-  /// \brief One fixed-width instruction.
-  struct Instr {
-    Op op;
-    uint32_t a = 0;  ///< const index / slot index / jump target / op name
-    uint32_t b = 0;  ///< kLoad: index into the identifier-name pool
-  };
-
-  /// \brief Monomorphic opcodes of the typed program. The typing pass has
-  /// already proven every operand's scalar type, so these ops carry no
-  /// runtime type dispatch; only the data-dependent errors survive (null
-  /// member reads, division/modulo by zero).
+  /// \brief Monomorphic opcodes. The typing pass has already proven every
+  /// operand's scalar type, so these ops carry no runtime type dispatch;
+  /// only the data-dependent errors survive (null member reads,
+  /// division/modulo by zero).
   enum class TOp : uint8_t {
-    kConstI64, kConstF64, kConstB,  ///< push tconsts[a]
+    kConstI64, kConstF64, kConstB,  ///< push consts[a]
     kLoadI64, kLoadF64, kLoadB,     ///< push slot `a` (null read errors,
                                     ///< names[b] names the identifier)
     kI64ToF64,       ///< widen the top of stack long → double
@@ -109,22 +72,22 @@ class CompiledCondition {
     kOrJumpTrue,    ///< pop bool v; if v push TRUE and jump to a
   };
 
-  /// \brief One fixed-width typed instruction.
+  /// \brief One fixed-width instruction.
   struct TInstr {
     TOp op;
     uint32_t a = 0;  ///< const index / slot index / jump target
     uint32_t b = 0;  ///< loads: index into the identifier-name pool
   };
 
-  /// \brief One typed operand-stack slot: a raw machine scalar whose kind
-  /// the program knows statically.
+  /// \brief One operand-stack slot: a raw machine scalar whose kind the
+  /// program knows statically.
   union TCell {
     int64_t i;
     double f;
     bool b;
   };
 
-  /// Value-stack capacity; expressions needing more fail to compile and
+  /// Operand-stack capacity; expressions needing more fail to compile and
   /// fall back to the tree-walk.
   static constexpr uint32_t kMaxStack = 64;
 
@@ -133,32 +96,13 @@ class CompiledCondition {
 
   /// Evaluates against `container`, which must have the layout the program
   /// was compiled against (same TypeRegistry flatten of bound_type()).
-  /// Runs the typed program when one was emitted, the generic otherwise.
   Result<data::Value> Evaluate(const data::Container& container) const;
 
   /// Evaluates and requires a boolean result.
   Result<bool> EvaluateBool(const data::Container& container) const;
 
-  /// Forces the generic program even when a typed one exists (A/B
-  /// benchmarking and the three-way differential test).
-  Result<data::Value> EvaluateGeneric(const data::Container& container) const;
-  Result<bool> EvaluateBoolGeneric(const data::Container& container) const;
-
   bool empty() const { return code_.empty(); }
-  const std::vector<Instr>& code() const { return code_; }
-  /// True when the typing pass emitted a monomorphic program.
-  bool typed() const { return !typed_code_.empty(); }
-  const std::vector<TInstr>& typed_code() const { return typed_code_; }
-  /// Typed-program constant pool (TInstr::a of the kConst* ops). Exported
-  /// for the native step-program emitter, which folds these cells into
-  /// immediates at code-generation time.
-  const std::vector<TCell>& typed_consts() const { return tconsts_; }
-  /// Identifier text per load instruction's TInstr::b / Instr::b (error
-  /// messages only). Exported so the native emitter's bailout wrapper can
-  /// rebuild the exact null-read error string.
-  const std::vector<std::string>& names() const { return names_; }
-  /// Statically inferred scalar type of the result (kNull when untyped).
-  data::ScalarType typed_result() const { return typed_result_; }
+  const std::vector<TInstr>& code() const { return code_; }
   /// Canonical source text of the compiled expression ("TRUE" if empty).
   const std::string& source() const { return source_; }
   /// Container type the slot bindings were resolved against.
@@ -170,26 +114,19 @@ class CompiledCondition {
  private:
   friend class internal::ConditionEmitter;
 
-  /// The generic dispatch loop over a caller-provided operand stack of at
-  /// least max_stack() slots; EvaluateGeneric sizes the stack to the
-  /// program.
-  Result<data::Value> Run(const data::Container& container,
-                          data::Value* stack) const;
-
-  /// The typed dispatch loop; returns the raw result cell (its kind is
+  /// The dispatch loop; returns the raw result cell (its kind is
   /// typed_result_).
-  Result<TCell> RunTyped(const data::Container& container) const;
+  Result<TCell> Run(const data::Container& container) const;
 
-  /// Shared layout guard for both programs.
+  /// Layout guard: the container must have the slots the program reads.
   Status CheckReadable(const data::Container& container) const;
 
-  std::vector<Instr> code_;
-  std::vector<data::Value> consts_;
-  /// Identifier text per kLoad (only consulted to build error messages).
+  std::vector<TInstr> code_;
+  std::vector<TCell> consts_;
+  /// Identifier text per load instruction's TInstr::b (only consulted to
+  /// build error messages).
   std::vector<std::string> names_;
-  /// The typed program (empty when the expression didn't fully type).
-  std::vector<TInstr> typed_code_;
-  std::vector<TCell> tconsts_;
+  /// Statically inferred scalar type of the result (kNull when empty).
   data::ScalarType typed_result_ = data::ScalarType::kNull;
   std::string source_ = "TRUE";
   std::string bound_type_;

@@ -5,7 +5,6 @@
 #include <map>
 #include <string>
 
-#include "codegen/step_jit.h"
 #include "expr/compile.h"
 #include "wf/process.h"
 
@@ -41,8 +40,8 @@ class ShapeCache {
 };
 
 /// Compiles one condition against `shape`, appending the program to
-/// `programs`. Returns the program index, or -1 when the condition can't
-/// be lowered (the runtime tree-walks it instead).
+/// `programs`. Returns the program index, or -1 when the condition has no
+/// typed program (the runtime tree-walks it instead).
 int32_t CompileCondition(const expr::Condition& cond,
                          const data::Container* shape,
                          std::vector<expr::CompiledCondition>* programs) {
@@ -94,15 +93,16 @@ NavigationPlan NavigationPlan::Compile(const ProcessDefinition& def,
     info.in_slot = static_cast<uint32_t>(dst.in_control.size());
     src.out_control.push_back(c);
     dst.in_control.push_back(c);
+    if (!info.trivial && !info.is_otherwise) src.has_cond_out = true;
   }
   for (ActivityInfo& info : plan.activities_) {
     info.join_fan_in = static_cast<uint32_t>(info.in_control.size());
   }
 
-  // Lower non-trivial conditions to slot-resolved VM programs. Exit
-  // conditions read the activity's own output container; transition
-  // conditions read the *source* activity's output container. Anything
-  // the compiler can't bind keeps its -1 and tree-walks at runtime.
+  // Lower non-trivial conditions to typed programs. Exit conditions read
+  // the activity's own output container; transition conditions read the
+  // *source* activity's output container. Anything the compiler can't
+  // bind or type keeps its -1 and tree-walks at runtime.
   if (types != nullptr) {
     ShapeCache shapes(*types);
     for (uint32_t id = 0; id < n; ++id) {
@@ -134,50 +134,6 @@ NavigationPlan NavigationPlan::Compile(const ProcessDefinition& def,
   }
   plan.hot_ =
       HotLayout::Compute(n, plan.in_eval_total_, plan.out_eval_total_);
-
-  // Fuse each activity's outgoing sweep into a straight-line step
-  // program: non-otherwise connectors in slot order (the interpreted
-  // sweep's first loop), then otherwise connectors in slot order (its
-  // second loop), then kEnd. Eval kinds, connector indices, absolute
-  // out_evals slots, and condition program ids are all resolved here so
-  // the runtime dispatch does no per-connector discovery. The resolver
-  // bits ride along: a sweep needs an expr::ContainerResolver only for
-  // tree-walked conditions (needs_resolver), or for any condition at all
-  // when the engine runs with the condition VM off (has_cond_out).
-  for (uint32_t id = 0; id < n; ++id) {
-    ActivityInfo& info = plan.activities_[id];
-    info.step_base = static_cast<uint32_t>(plan.step_code_.size());
-    for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
-      const uint32_t cidx = info.out_control[slot];
-      const ConnectorInfo& ci = plan.connectors_[cidx];
-      if (ci.is_otherwise) continue;
-      StepInstr si;
-      si.cidx = cidx;
-      si.out_idx = info.out_eval_base + slot;
-      if (ci.trivial) {
-        si.op = StepInstr::Op::kTrivial;
-      } else if (ci.cond_vm >= 0) {
-        si.op = StepInstr::Op::kVm;
-        si.prog = ci.cond_vm;
-        info.has_cond_out = true;
-      } else {
-        si.op = StepInstr::Op::kTree;
-        info.needs_resolver = true;
-        info.has_cond_out = true;
-      }
-      plan.step_code_.push_back(si);
-    }
-    for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
-      const uint32_t cidx = info.out_control[slot];
-      if (!plan.connectors_[cidx].is_otherwise) continue;
-      StepInstr si;
-      si.op = StepInstr::Op::kOtherwise;
-      si.cidx = cidx;
-      si.out_idx = info.out_eval_base + slot;
-      plan.step_code_.push_back(si);
-    }
-    plan.step_code_.push_back(StepInstr{});  // kEnd
-  }
 
   // Data connectors: per-source fan-out lists plus resolved targets.
   plan.data_.resize(data.size());
@@ -230,11 +186,6 @@ NavigationPlan NavigationPlan::Compile(const ProcessDefinition& def,
             [&acts](uint32_t a, uint32_t b) {
               return acts[a].name < acts[b].name;
             });
-
-  // Last ladder rung: lower the step programs (and their typed condition
-  // programs) to native code. Always attempted — the engine option only
-  // gates dispatch — and null on platforms without the emitter.
-  plan.native_unit_ = codegen::CompileStepPrograms(plan);
 
   return plan;
 }

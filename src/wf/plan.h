@@ -20,27 +20,20 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "expr/vm.h"
-
-namespace exotica::codegen {
-class NativeStepUnit;
-}  // namespace exotica::codegen
 
 namespace exotica::wf {
 
 class ProcessDefinition;
 
-/// \brief Byte offsets of the packed per-instance *hot block* (see
+/// \brief Byte offsets of the per-instance *hot block* (see
 /// docs/specs/instance_layout.md).
 ///
-/// With EngineOptions::packed_instance_state the per-activity hot fields
-/// live in one contiguous byte block instead of striding fat
-/// ActivityRuntime structs: a dense state byte per activity, the
-/// ready-queue dedup byte, the two connector-eval planes, and 4-aligned
-/// int32 attempt/failures arrays. The layout is fixed per plan, so an
+/// The per-activity hot fields live in one contiguous byte block: a dense
+/// state byte per activity, the ready-queue dedup byte, the two
+/// connector-eval planes, and 4-aligned int32 attempt/failures arrays. The layout is fixed per plan, so an
 /// InstanceArena can preformat the whole block as a single memcpy-able
 /// image. Cold per-activity state (containers, work items, child links)
 /// stays out of the block entirely.
@@ -80,33 +73,6 @@ static_assert(HotLayout::Compute(1, 0, 0).attempt_base % 4 == 0);
 static_assert(HotLayout::Compute(1000, 999, 999).attempt_base % 4 == 0);
 static_assert(HotLayout::Compute(0, 0, 0).size == 0);
 
-/// \brief One instruction of an activity's fused outgoing-sweep *step
-/// program* (see docs/specs/step_program.md).
-///
-/// At plan build time the entire outgoing sweep of each activity — the
-/// non-otherwise connector loop, otherwise resolution, and the journal /
-/// audit emission order — is compiled into one straight-line instruction
-/// sequence: connector indices, absolute out_evals slots, and condition
-/// program ids are resolved here so the runtime dispatch loop
-/// (Engine::RunStepProgram) does no per-connector kind discovery. The
-/// instruction stream for activity `a` starts at
-/// ActivityInfo::step_base and is terminated by kEnd; non-otherwise
-/// instructions always precede kOtherwise ones, preserving the
-/// interpreted sweep's journal record order byte for byte.
-struct StepInstr {
-  enum class Op : uint8_t {
-    kTrivial,    ///< unconditioned connector: fires true
-    kVm,         ///< conditioned, VM-compiled: run vm_program(prog)
-    kTree,       ///< conditioned, unbindable: tree-walk the condition
-    kOtherwise,  ///< OTHERWISE connector: true iff no sibling fired
-    kEnd,        ///< end of this activity's program
-  };
-  Op op = Op::kEnd;
-  uint32_t cidx = 0;     ///< control connector index
-  uint32_t out_idx = 0;  ///< absolute slot in the instance's out_evals
-  int32_t prog = -1;     ///< kVm: index into vm_program()
-};
-
 /// \brief Immutable compiled navigation index for one ProcessDefinition.
 class NavigationPlan {
  public:
@@ -125,26 +91,19 @@ class NavigationPlan {
     /// Join fan-in (== in_control.size(), cached for the join decision).
     uint32_t join_fan_in = 0;
     /// Offsets of this activity's connector-evaluation slots inside the
-    /// instance-wide flat eval arrays (prefix sums of the in/out adjacency
-    /// sizes; see ProcessInstance::in_evals).
+    /// instance-wide eval planes (prefix sums of the in/out adjacency
+    /// sizes; see ProcessInstance::in_eval).
     uint32_t in_eval_base = 0;
     uint32_t out_eval_base = 0;
-    /// Start of this activity's step program inside step_program(0)'s
-    /// flat instruction array (terminated by StepInstr::Op::kEnd).
-    uint32_t step_base = 0;
     bool manual = false;       ///< StartMode::kManual
     bool block = false;        ///< ActivityKind::kProcess
     bool or_join = false;      ///< JoinKind::kOr
     bool trivial_exit = true;  ///< exit condition is always-true
-    /// True when some outgoing connector must tree-walk its condition
-    /// (non-trivial, non-otherwise, and not VM-compiled) — the only case
-    /// the sweep needs an expr::ContainerResolver when the VM is on.
-    bool needs_resolver = false;
-    /// True when any outgoing connector carries a non-trivial condition
-    /// (the sweep needs a resolver whenever the condition VM is off).
+    /// True when any outgoing connector carries a non-trivial condition,
+    /// so the sweep reads the source output container.
     bool has_cond_out = false;
-    /// Compiled exit-condition program (index into vm_program()), or -1
-    /// when the condition is trivial or couldn't be bound (tree-walk).
+    /// Typed exit-condition program (index into vm_program()), or -1 when
+    /// the condition is trivial or has no typed program (tree-walk).
     int32_t exit_vm = -1;
   };
 
@@ -156,8 +115,8 @@ class NavigationPlan {
     uint32_t in_slot = 0;   ///< position in to's in_control list
     bool is_otherwise = false;
     bool trivial = true;    ///< always-true transition condition
-    /// Compiled transition-condition program (index into vm_program()),
-    /// or -1 when trivial/OTHERWISE or unbindable (tree-walk fallback).
+    /// Typed transition-condition program (index into vm_program()), or
+    /// -1 when trivial/OTHERWISE or untypeable (tree-walk fallback).
     int32_t cond_vm = -1;
   };
 
@@ -170,8 +129,8 @@ class NavigationPlan {
   /// Compiles `definition`. The definition must be a DAG (enforced by
   /// ValidateProcess before registration). When `types` is given (the
   /// registry the definition was validated against), every non-trivial
-  /// exit/transition condition is additionally lowered to a
-  /// CompiledCondition bound to its activity's output-container layout;
+  /// exit/transition condition that types against its activity's
+  /// output-container layout is lowered to a typed CompiledCondition;
   /// without a registry — the lazy plan() path for hand-built definitions
   /// — no programs are compiled and the runtime tree-walks every
   /// condition.
@@ -208,11 +167,11 @@ class NavigationPlan {
   uint32_t in_eval_total() const { return in_eval_total_; }
   uint32_t out_eval_total() const { return out_eval_total_; }
 
-  /// Byte offsets of the packed per-instance hot block (computed from the
+  /// Byte offsets of the per-instance hot block (computed from the
   /// activity count and eval totals at plan build).
   const HotLayout& hot() const { return hot_; }
 
-  /// Compiled condition program `index` (an ActivityInfo::exit_vm or
+  /// Typed condition program `index` (an ActivityInfo::exit_vm or
   /// ConnectorInfo::cond_vm value >= 0).
   const expr::CompiledCondition& vm_program(int32_t index) const {
     return vm_programs_[static_cast<size_t>(index)];
@@ -220,22 +179,6 @@ class NavigationPlan {
   /// Number of compiled condition programs (0 when compiled without a
   /// TypeRegistry).
   size_t vm_program_count() const { return vm_programs_.size(); }
-
-  /// The step program starting at `base` (an ActivityInfo::step_base).
-  /// The returned pointer stays valid for the plan's lifetime; the
-  /// program ends at its kEnd instruction.
-  const StepInstr* step_program(uint32_t base) const {
-    return &step_code_[base];
-  }
-
-  /// Native x86-64 functions compiled from the step programs, or null when
-  /// native codegen is unavailable on this build/platform (and on plans
-  /// whose arena could not be sealed). Shared so engines can pin the code
-  /// past the plan if they ever need to; dispatch is gated engine-side by
-  /// EngineOptions::use_native_step_programs.
-  const std::shared_ptr<const codegen::NativeStepUnit>& native_unit() const {
-    return native_unit_;
-  }
 
  private:
   std::vector<ActivityInfo> activities_;
@@ -246,12 +189,9 @@ class NavigationPlan {
   std::vector<uint32_t> topo_;
   std::vector<uint32_t> by_name_;
   std::vector<expr::CompiledCondition> vm_programs_;
-  /// Concatenated per-activity step programs (each kEnd-terminated).
-  std::vector<StepInstr> step_code_;
   uint32_t in_eval_total_ = 0;
   uint32_t out_eval_total_ = 0;
   HotLayout hot_;
-  std::shared_ptr<const codegen::NativeStepUnit> native_unit_;
 };
 
 }  // namespace exotica::wf

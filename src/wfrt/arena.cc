@@ -32,14 +32,16 @@ Result<InstanceArena> InstanceArena::Build(
   const wf::NavigationPlan& plan = definition.plan();
   const std::vector<wf::Activity>& acts = definition.activities();
   uint32_t n = plan.activity_count();
-  arena.activities_.resize(n);
+  arena.inputs_.reserve(n);
+  arena.outputs_.reserve(n);
   for (uint32_t aid = 0; aid < n; ++aid) {
-    ActivityRuntime& rt = arena.activities_[aid];
-    EXO_ASSIGN_OR_RETURN(rt.input, make(acts[aid].input_type));
-    EXO_ASSIGN_OR_RETURN(rt.output, make(acts[aid].output_type));
+    EXO_ASSIGN_OR_RETURN(data::Container in, make(acts[aid].input_type));
+    EXO_ASSIGN_OR_RETURN(data::Container out, make(acts[aid].output_type));
+    arena.inputs_.push_back(std::move(in));
+    arena.outputs_.push_back(std::move(out));
   }
 
-  // Preformat the packed hot block: all planes zero (kWaiting states, no
+  // Preformat the hot block: all planes zero (kWaiting states, no
   // enqueued bits, attempt/failures 0) except the connector-eval planes,
   // which start at -1 (not yet evaluated).
   const wf::HotLayout& hl = plan.hot();

@@ -55,10 +55,6 @@ Engine::Engine(const wf::DefinitionStore* definitions, ProgramRegistry* programs
       clock_(options.clock != nullptr ? options.clock
                                       : SystemClock::Default()) {
   audit_.set_max_events(options_.max_audit_events);
-  // Native dispatch sits on top of the whole ladder: it inlines typed
-  // condition programs, so turning any lower rung off turns it off too.
-  native_enabled_ = options_.use_native_step_programs &&
-                    options_.use_condition_vm && options_.use_typed_conditions;
 }
 
 Status Engine::AttachJournal(wfjournal::Journal* journal) {
@@ -271,51 +267,15 @@ Result<const InstanceArena*> Engine::ArenaFor(const wf::ProcessDefinition* def) 
 
 Status Engine::InitializeRuntimes(ProcessInstance* inst) {
   const wf::NavigationPlan& plan = *inst->plan;
-  uint32_t n = plan.activity_count();
-  if (options_.packed_instance_state) {
-    // Packed layout: one copy of the arena's preformatted hot block plus
-    // a default-constructed cold sidecar — no per-activity container
-    // copies at spin-up; cold containers materialize on first touch.
-    inst->packed = true;
-    inst->hl = plan.hot();
-    if (options_.spinup_arena) {
-      EXO_ASSIGN_OR_RETURN(const InstanceArena* arena,
-                           ArenaFor(inst->definition));
-      inst->arena = arena;
-      inst->hot = arena->hot_image();
-      ++stats_.arena_spinups;
-    } else {
-      const wf::HotLayout& hl = plan.hot();
-      inst->hot.assign(hl.size, 0);
-      std::fill(inst->hot.begin() + hl.in_eval_base,
-                inst->hot.begin() + hl.in_eval_base + plan.in_eval_total(),
-                static_cast<uint8_t>(-1));
-      std::fill(inst->hot.begin() + hl.out_eval_base,
-                inst->hot.begin() + hl.out_eval_base + plan.out_eval_total(),
-                static_cast<uint8_t>(-1));
-    }
-    inst->cold.resize(n);
-  } else if (options_.spinup_arena) {
-    // One vector copy of the preformatted image; the flat-layout
-    // containers inside share their immutable layouts by refcount.
-    EXO_ASSIGN_OR_RETURN(const InstanceArena* arena,
-                         ArenaFor(inst->definition));
-    inst->activities = arena->activities();
-    ++stats_.arena_spinups;
-  } else {
-    const std::vector<wf::Activity>& acts = inst->definition->activities();
-    inst->activities.resize(n);
-    for (uint32_t aid = 0; aid < n; ++aid) {
-      ActivityRuntime& rt = inst->activities[aid];
-      EXO_ASSIGN_OR_RETURN(rt.input, NewContainer(acts[aid].input_type));
-      EXO_ASSIGN_OR_RETURN(rt.output, NewContainer(acts[aid].output_type));
-    }
-  }
-  if (!inst->packed) {
-    inst->in_evals.assign(plan.in_eval_total(), -1);
-    inst->out_evals.assign(plan.out_eval_total(), -1);
-    inst->enqueued.assign(n, 0);
-  }
+  // One copy of the arena's preformatted hot block plus a
+  // default-constructed cold sidecar — no per-activity container copies
+  // at spin-up; cold containers materialize on first touch.
+  EXO_ASSIGN_OR_RETURN(const InstanceArena* arena, ArenaFor(inst->definition));
+  inst->arena = arena;
+  inst->hl = plan.hot();
+  inst->hot = arena->hot_image();
+  inst->cold.resize(plan.activity_count());
+  ++stats_.arena_spinups;
   // Process-input data connectors materialize target inputs immediately.
   for (uint32_t d : plan.input_data()) {
     const wf::DataConnector& dc = inst->definition->data_connectors()[d];
@@ -324,7 +284,7 @@ Status Engine::InitializeRuntimes(ProcessInstance* inst) {
     if (to == wf::NavigationPlan::kProcessOutput) {
       target = &inst->output;
     } else {
-      EXO_RETURN_NOT_OK(MaterializeActivityInput(inst, to));
+      MaterializeActivityInput(inst, to);
       target = &inst->activity_input(to);
     }
     EXO_RETURN_NOT_OK(dc.mapping.Apply(inst->input, target));
@@ -332,30 +292,14 @@ Status Engine::InitializeRuntimes(ProcessInstance* inst) {
   return Status::OK();
 }
 
-Status Engine::MaterializeActivityInput(ProcessInstance* inst, uint32_t aid) {
-  if (!inst->packed) return Status::OK();
+void Engine::MaterializeActivityInput(ProcessInstance* inst, uint32_t aid) {
   data::Container& c = inst->cold[aid].input;
-  if (!c.type_name().empty()) return Status::OK();
-  if (inst->arena != nullptr) {
-    c = inst->arena->activities()[aid].input;
-    return Status::OK();
-  }
-  EXO_ASSIGN_OR_RETURN(
-      c, NewContainer(inst->definition->activities()[aid].input_type));
-  return Status::OK();
+  if (c.type_name().empty()) c = inst->arena->activity_input(aid);
 }
 
-Status Engine::MaterializeActivityOutput(ProcessInstance* inst, uint32_t aid) {
-  if (!inst->packed) return Status::OK();
+void Engine::MaterializeActivityOutput(ProcessInstance* inst, uint32_t aid) {
   data::Container& c = inst->cold[aid].output;
-  if (!c.type_name().empty()) return Status::OK();
-  if (inst->arena != nullptr) {
-    c = inst->arena->activities()[aid].output;
-    return Status::OK();
-  }
-  EXO_ASSIGN_OR_RETURN(
-      c, NewContainer(inst->definition->activities()[aid].output_type));
-  return Status::OK();
+  if (c.type_name().empty()) c = inst->arena->activity_output(aid);
 }
 
 Status Engine::ReadyStartActivities(ProcessInstance* inst) {
@@ -471,18 +415,11 @@ Status Engine::StartExecution(ProcessInstance* inst, uint32_t aid,
 
   const int32_t attempt = ++inst->attempt(aid);
   inst->SetState(aid, ActivityState::kRunning);
-  EXO_RETURN_NOT_OK(MaterializeActivityInput(inst, aid));
-  // Fresh output container per attempt: a half-written image from a failed
-  // attempt must not leak into the next one. The packed layout takes the
-  // fresh container from the arena's preformatted prototype — one
-  // container copy instead of a type-registry walk (the prototype IS
-  // NewContainer's result, so the two paths are indistinguishable).
-  if (inst->packed && inst->arena != nullptr) {
-    inst->cold[aid].output = inst->arena->activities()[aid].output;
-  } else {
-    EXO_ASSIGN_OR_RETURN(inst->activity_output(aid),
-                         NewContainer(def.output_type));
-  }
+  MaterializeActivityInput(inst, aid);
+  // Fresh output container per attempt, copied from the arena prototype:
+  // a half-written image from a failed attempt must not leak into the
+  // next one.
+  inst->activity_output(aid) = inst->arena->activity_output(aid);
   if (journal_ != nullptr) {
     EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kActivityStarted,
                                     inst->id, def.name, "", false,
@@ -692,15 +629,8 @@ Status Engine::HandleFinished(ProcessInstance* inst, uint32_t aid) {
   if (info.trivial_exit) {
     exit_ok = true;  // always-true exit condition: skip the resolver
   } else {
-    const data::Container& out = inst->activity_output(aid);
-    Result<bool> exit_result = [&]() -> Result<bool> {
-      if (info.exit_vm >= 0 && options_.use_condition_vm) {
-        return EvalVmCondition(inst, info.exit_vm, out);
-      }
-      ++stats_.tree_condition_evals;
-      expr::ContainerResolver resolver(out);
-      return def.exit_condition.Evaluate(resolver);
-    }();
+    Result<bool> exit_result = EvalCondition(
+        info.exit_vm, def.exit_condition, inst, inst->activity_output(aid));
     if (!exit_result.ok()) {
       return exit_result.status().WithContext("exit condition of " + def.name +
                                               " in " + inst->id);
@@ -772,111 +702,42 @@ Status Engine::MarkDead(ProcessInstance* inst, uint32_t aid) {
   return CheckInstanceCompletion(inst);
 }
 
-Result<bool> Engine::EvalVmCondition(const ProcessInstance* inst,
-                                     int32_t index,
-                                     const data::Container& input) {
-  ++stats_.vm_condition_evals;
-  const expr::CompiledCondition& prog = inst->plan->vm_program(index);
-  if (prog.typed() && options_.use_typed_conditions) {
-    ++stats_.typed_condition_evals;
-    return prog.EvaluateBool(input);
+Result<bool> Engine::EvalCondition(int32_t vm,
+                                   const expr::Condition& condition,
+                                   const ProcessInstance* inst,
+                                   const data::Container& input) {
+  if (vm >= 0) {
+    ++stats_.vm_condition_evals;
+    return inst->plan->vm_program(vm).EvaluateBool(input);
   }
-  return prog.EvaluateBoolGeneric(input);
+  ++stats_.tree_condition_evals;
+  expr::ContainerResolver resolver(input);
+  return condition.Evaluate(resolver);
 }
 
 Status Engine::EvaluateOutgoing(ProcessInstance* inst, uint32_t aid,
                                 bool all_false) {
-  if (options_.use_step_programs) {
-    if (native_enabled_) {
-      Status native_status = Status::OK();
-      if (TryNativeStepProgram(inst, aid, all_false, &native_status)) {
-        return native_status;
-      }
-    }
-    return RunStepProgram(inst, aid, all_false);
-  }
-
   const wf::NavigationPlan& plan = *inst->plan;
   const wf::NavigationPlan::ActivityInfo& info = plan.activity(aid);
   const std::vector<wf::ControlConnector>& connectors =
       inst->definition->control_connectors();
 
-  bool any_true = false;
-  // Fresh evaluations are delivered only after every sibling connector is
-  // journaled, so a successor's join never fires on a partial picture.
-  std::vector<std::pair<uint32_t, bool>> fresh;
-
-  // A conditioned sweep reads the source output container (packed cold
-  // containers materialize on first touch).
-  if (!all_false && info.has_cond_out) {
-    EXO_RETURN_NOT_OK(MaterializeActivityOutput(inst, aid));
-  }
+  // A conditioned sweep reads the source output container (cold
+  // containers materialize on first touch; dead-path sweeps never read).
+  if (!all_false && info.has_cond_out) MaterializeActivityOutput(inst, aid);
   const data::Container& out = inst->activity_output(aid);
 
-  // Every outgoing connector reads the same source output container, so
-  // one resolver serves the whole sweep — but only tree-walked conditions
-  // consult it, so the plan's resolver bits let trivial/VM-only sweeps
-  // (and all-false dead-path sweeps) skip constructing it entirely.
-  std::optional<expr::ContainerResolver> resolver;
-  if (!all_false &&
-      (info.needs_resolver ||
-       (info.has_cond_out && !options_.use_condition_vm))) {
-    resolver.emplace(out);
-  }
+  // Fresh evaluations are delivered only after every sibling connector is
+  // journaled, so a successor's join never fires on a partial picture.
+  // The list is pooled: swapped out for the duration of the sweep, so the
+  // reentrant DeliverSignal → ApplyJoin → MarkDead → sweep chain starts
+  // from an empty pool instead of aliasing this one.
+  std::vector<std::pair<uint32_t, bool>> fresh;
+  fresh.swap(fresh_scratch_);
+  fresh.clear();
 
-  // Non-otherwise connectors first.
-  for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
-    uint32_t cidx = info.out_control[slot];
-    const wf::NavigationPlan::ConnectorInfo& ci = plan.connector(cidx);
-    if (ci.is_otherwise) continue;
-    bool value;
-    if (inst->out_eval_abs(info.out_eval_base + slot) >= 0) {
-      value = inst->out_eval_abs(info.out_eval_base + slot) != 0;
-    } else {
-      if (all_false) {
-        value = false;
-      } else if (ci.trivial) {
-        value = true;  // unconditioned connector: no resolver needed
-      } else {
-        const wf::ControlConnector& c = connectors[cidx];
-        Result<bool> r = [&]() -> Result<bool> {
-          if (ci.cond_vm >= 0 && options_.use_condition_vm) {
-            return EvalVmCondition(inst, ci.cond_vm, out);
-          }
-          ++stats_.tree_condition_evals;
-          return c.condition.Evaluate(*resolver);
-        }();
-        if (!r.ok()) {
-          if (options_.condition_error_is_false) {
-            value = false;
-          } else {
-            return r.status().WithContext("transition condition " + c.from +
-                                          " -> " + c.to + " in " + inst->id);
-          }
-        } else {
-          value = r.value();
-        }
-      }
-      inst->out_eval_abs(info.out_eval_base + slot) = value ? 1 : 0;
-      ++stats_.connectors_evaluated;
-      const wf::ControlConnector& c = connectors[cidx];
-      if (journal_ != nullptr) {
-        EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kConnectorEval,
-                                        inst->id, c.from, c.to, value));
-      }
-      Audit(value ? AuditKind::kConnectorTrue : AuditKind::kConnectorFalse,
-            inst->id, c.from, c.to);
-      fresh.emplace_back(cidx, value);
-    }
-    any_true = any_true || value;
-  }
-
-  // Otherwise connector fires iff all conditioned siblings were false.
-  for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
-    uint32_t cidx = info.out_control[slot];
-    if (!plan.connector(cidx).is_otherwise) continue;
-    if (inst->out_eval_abs(info.out_eval_base + slot) >= 0) continue;
-    bool value = all_false ? false : !any_true;
+  // Journals, audits and queues one freshly decided connector.
+  auto record = [&](uint32_t slot, uint32_t cidx, bool value) -> Status {
     inst->out_eval_abs(info.out_eval_base + slot) = value ? 1 : 0;
     ++stats_.connectors_evaluated;
     const wf::ControlConnector& c = connectors[cidx];
@@ -887,11 +748,54 @@ Status Engine::EvaluateOutgoing(ProcessInstance* inst, uint32_t aid,
     Audit(value ? AuditKind::kConnectorTrue : AuditKind::kConnectorFalse,
           inst->id, c.from, c.to);
     fresh.emplace_back(cidx, value);
+    return Status::OK();
+  };
+
+  // Non-otherwise connectors first.
+  bool any_true = false;
+  for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
+    uint32_t cidx = info.out_control[slot];
+    const wf::NavigationPlan::ConnectorInfo& ci = plan.connector(cidx);
+    if (ci.is_otherwise) continue;
+    const int8_t prior = inst->out_eval_abs(info.out_eval_base + slot);
+    bool value;
+    if (prior >= 0) {
+      value = prior != 0;
+    } else {
+      if (all_false) {
+        value = false;
+      } else if (ci.trivial) {
+        value = true;  // unconditioned connector: nothing to evaluate
+      } else {
+        const wf::ControlConnector& c = connectors[cidx];
+        Result<bool> r = EvalCondition(ci.cond_vm, c.condition, inst, out);
+        if (r.ok()) {
+          value = *r;
+        } else if (options_.condition_error_is_false) {
+          value = false;
+        } else {
+          return r.status().WithContext("transition condition " + c.from +
+                                        " -> " + c.to + " in " + inst->id);
+        }
+      }
+      EXO_RETURN_NOT_OK(record(slot, cidx, value));
+    }
+    any_true = any_true || value;
+  }
+
+  // Otherwise connector fires iff all conditioned siblings were false.
+  for (uint32_t slot = 0; slot < info.out_control.size(); ++slot) {
+    uint32_t cidx = info.out_control[slot];
+    if (!plan.connector(cidx).is_otherwise) continue;
+    if (inst->out_eval_abs(info.out_eval_base + slot) >= 0) continue;
+    EXO_RETURN_NOT_OK(record(slot, cidx, !all_false && !any_true));
   }
 
   for (auto [cidx, value] : fresh) {
     EXO_RETURN_NOT_OK(DeliverSignal(inst, cidx, value));
   }
+  fresh.clear();
+  fresh_scratch_.swap(fresh);
   return Status::OK();
 }
 
@@ -931,7 +835,7 @@ Status Engine::ApplyJoin(ProcessInstance* inst, uint32_t aid) {
 Status Engine::PushData(ProcessInstance* inst, uint32_t aid) {
   const wf::NavigationPlan& plan = *inst->plan;
   if (!plan.activity(aid).out_data.empty()) {
-    EXO_RETURN_NOT_OK(MaterializeActivityOutput(inst, aid));
+    MaterializeActivityOutput(inst, aid);
   }
   for (uint32_t d : plan.activity(aid).out_data) {
     const wf::DataConnector& dc = inst->definition->data_connectors()[d];
@@ -940,7 +844,7 @@ Status Engine::PushData(ProcessInstance* inst, uint32_t aid) {
     if (to == wf::NavigationPlan::kProcessOutput) {
       target = &inst->output;
     } else {
-      EXO_RETURN_NOT_OK(MaterializeActivityInput(inst, to));
+      MaterializeActivityInput(inst, to);
       target = &inst->activity_input(to);
     }
     EXO_RETURN_NOT_OK(dc.mapping.Apply(inst->activity_output(aid), target));
@@ -948,12 +852,17 @@ Status Engine::PushData(ProcessInstance* inst, uint32_t aid) {
   return Status::OK();
 }
 
+void Engine::MarkFinished(ProcessInstance* inst) {
+  inst->finished = true;
+  ++stats_.instances_finished;
+  if (!inst->is_child()) ++stats_.roots_finished;
+}
+
 Status Engine::CheckInstanceCompletion(ProcessInstance* inst) {
   if (inst->finished || inst->failed || !inst->AllSettled()) {
     return Status::OK();
   }
-  inst->finished = true;
-  ++stats_.instances_finished;
+  MarkFinished(inst);
   if (journal_ != nullptr) {
     EXO_RETURN_NOT_OK(JournalAppend(wfjournal::EventType::kInstanceFinished,
                                     inst->id, "", "", false,
@@ -1231,8 +1140,7 @@ Status Engine::ApplyCancel(ProcessInstance* inst) {
   }
   inst->cancelled = true;
   inst->suspended = false;
-  inst->finished = true;
-  ++stats_.instances_finished;
+  MarkFinished(inst);
   Audit(AuditKind::kInstanceFinished, inst->id, "", "cancelled");
   return Status::OK();
 }
@@ -1487,11 +1395,11 @@ Status Engine::MaterializeImage(const InstanceImage& image) {
     // A pristine container round-trips through an empty image, so skip
     // materializing cold containers that the image carries nothing for.
     if (!a.input_image.empty()) {
-      EXO_RETURN_NOT_OK(MaterializeActivityInput(p, aid));
+      MaterializeActivityInput(p, aid);
       EXO_RETURN_NOT_OK(p->activity_input(aid).Deserialize(a.input_image));
     }
     if (!a.output_image.empty()) {
-      EXO_RETURN_NOT_OK(MaterializeActivityOutput(p, aid));
+      MaterializeActivityOutput(p, aid);
       EXO_RETURN_NOT_OK(p->activity_output(aid).Deserialize(a.output_image));
     }
   }
@@ -1707,8 +1615,7 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
       inst->SetState(uaid, ActivityState::kRunning);
       inst->attempt(uaid) =
           static_cast<int32_t>(std::strtol(r.payload.c_str(), nullptr, 10));
-      EXO_ASSIGN_OR_RETURN(inst->activity_output(uaid),
-                           NewContainer(DefOf(inst, uaid).output_type));
+      inst->activity_output(uaid) = inst->arena->activity_output(uaid);
       return Status::OK();
     }
     case EventType::kActivityFinished: {
@@ -1716,7 +1623,7 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
       EXO_ASSIGN_OR_RETURN(size_t aid,
                            inst->definition->ActivityIndex(r.activity));
       const uint32_t uaid = static_cast<uint32_t>(aid);
-      EXO_RETURN_NOT_OK(MaterializeActivityOutput(inst, uaid));
+      MaterializeActivityOutput(inst, uaid);
       EXO_RETURN_NOT_OK(inst->activity_output(uaid).Deserialize(r.payload));
       inst->SetState(uaid, ActivityState::kFinished);
       return Status::OK();
@@ -1761,8 +1668,7 @@ Status Engine::ReplayRecord(const wfjournal::Record& r) {
     case EventType::kInstanceFinished: {
       EXO_ASSIGN_OR_RETURN(ProcessInstance* inst, MutableInstance(r.instance));
       EXO_RETURN_NOT_OK(inst->output.Deserialize(r.payload));
-      inst->finished = true;
-      ++stats_.instances_finished;
+      MarkFinished(inst);
       return Status::OK();
     }
     case EventType::kChildSpawned:
@@ -1833,6 +1739,7 @@ Status Engine::ReplaySnapshot(const wfjournal::Record& r) {
   next_instance_ = 1;
   stats_.instances_started = 0;
   stats_.instances_finished = 0;
+  stats_.roots_finished = 0;
   stats_.instances_failed = 0;
   stats_.instances_detached = 0;
   stats_.instances_stolen = 0;
@@ -1850,7 +1757,10 @@ Status Engine::ReplaySnapshot(const wfjournal::Record& r) {
     EXO_RETURN_NOT_OK(MaterializeImage(image));
     ProcessInstance* p = &instances_.back();
     ++stats_.instances_started;
-    if (p->finished) ++stats_.instances_finished;
+    if (p->finished) {
+      ++stats_.instances_finished;
+      if (!p->is_child()) ++stats_.roots_finished;
+    }
     if (p->failed && !p->is_child()) {
       ++stats_.instances_failed;
       failed_.push_back({p->id, p->failure_reason});

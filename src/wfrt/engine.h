@@ -19,13 +19,11 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "codegen/step_jit.h"
 #include "common/clock.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -131,50 +129,6 @@ struct EngineOptions {
   /// distinct prefix so an instance id stays unique after migration.
   std::string instance_id_prefix;
 
-  /// Spin instances up by copying a per-definition preformatted image
-  /// (InstanceArena) instead of walking the container prototype map once
-  /// per activity. Off = the legacy walk (kept for A/B benchmarking).
-  bool spinup_arena = true;
-
-  /// Evaluate exit/transition conditions through the plan's compiled
-  /// CompiledCondition programs (slot-resolved bytecode) where available.
-  /// Off = the tree-walk reference evaluator everywhere (kept for A/B
-  /// benchmarking); conditions the compiler couldn't bind always
-  /// tree-walk regardless.
-  bool use_condition_vm = true;
-
-  /// Run conditions through their typed (monomorphic) programs where the
-  /// compiler emitted one. Off = the generic operand-kind-dispatching
-  /// program even when a typed one exists (A/B benchmarking). Only
-  /// meaningful with use_condition_vm on.
-  bool use_typed_conditions = true;
-
-  /// Run each activity's outgoing connector sweep through the plan's
-  /// fused step program (threaded dispatch; see
-  /// docs/specs/step_program.md). Off = the interpreted per-slot sweep
-  /// (kept as the A/B reference; journal records and errors are
-  /// byte-identical either way).
-  bool use_step_programs = true;
-
-  /// Dispatch outgoing sweeps to the plan's native x86-64 step functions
-  /// where the emitter compiled one (the last rung of the compilation
-  /// ladder; see docs/specs/native_codegen.md). Requires
-  /// use_step_programs, use_condition_vm, and use_typed_conditions;
-  /// activities the emitter bailed out on — and whole platforms without
-  /// the emitter — fall back to the threaded-code step program. Journal
-  /// records, audit events, and error messages are byte-identical either
-  /// way.
-  bool use_native_step_programs = true;
-
-  /// Hold per-activity hot state (state/enqueued/eval/attempt/failures)
-  /// in one contiguous per-instance byte block laid out by the plan
-  /// (wf::HotLayout) with containers/work-items in a cold sidecar, so the
-  /// settle sweeps scan dense bytes instead of striding ActivityRuntime
-  /// structs (see docs/specs/instance_layout.md). Off = the legacy AoS
-  /// layout (kept as the A/B reference; journal, audit, and error output
-  /// are byte-identical either way).
-  bool packed_instance_state = true;
-
   /// Committed journal records between automatic snapshot checkpoints
   /// (kSnapshot record + truncation of the journal behind it; see
   /// docs/specs/snapshot_recovery.md). Checked at every navigation
@@ -186,46 +140,59 @@ struct EngineOptions {
   const Clock* clock = nullptr;  ///< defaults to SystemClock
 };
 
-/// \brief Aggregate navigation counters.
+/// \brief Every navigation counter, defined once as (field, help). The
+/// EngineStats struct, the fleet's aggregation and its per-batch deltas
+/// are all generated from this table, so a new counter is one line here.
+#define EXO_ENGINE_STATS(X)                                                  \
+  X(instances_started, "instances created, block children included")        \
+  X(instances_finished, "instances finished, block children included")      \
+  X(roots_finished, "top-level instances finished")                         \
+  X(activities_executed, "activity starts (program calls, block spawns)")    \
+  X(connectors_evaluated, "control connectors evaluated")                   \
+  X(dead_path_terminations, "activities killed by dead path elimination")   \
+  X(reschedules, "activities rescheduled (exit condition false or crash)")  \
+  X(program_failures, "program executions that returned an error")          \
+  X(retries, "crash retries granted by the policy")                         \
+  X(backoff_waits, "retries that carried a non-zero delay")                 \
+  X(backoff_wait_micros, "total delay across backoff_waits")                \
+  X(permanent_failures, "errors classified permanent")                      \
+  X(instances_failed, "top-level instances quarantined")                    \
+  X(instances_detached, "families migrated away (victim side)")             \
+  X(instances_stolen, "families adopted (thief side)")                      \
+  X(steals_failed, "steal attempts that found nothing")                     \
+  X(arena_spinups, "instances spun up from an arena image")                 \
+  X(arena_shared_hits, "spin-ups served from a fleet-shared arena")         \
+  X(vm_condition_evals, "conditions run on their typed program")            \
+  X(tree_condition_evals, "conditions run on the tree-walk")                \
+  X(steal_slice_shrinks, "adaptive steal-slice halvings (fleet)")           \
+  X(steal_victim_cost_picks,                                                \
+    "cost-aware victim picks that differ from the deepest queue (fleet)")   \
+  X(snapshots_written, "checkpoint records appended")                       \
+  X(records_truncated, "journal records dropped behind snapshots")          \
+  X(recovery_records_replayed, "records Recover() streamed")
+
+/// \brief Aggregate navigation counters (see EXO_ENGINE_STATS).
 struct EngineStats {
-  uint64_t instances_started = 0;
-  uint64_t instances_finished = 0;
-  uint64_t activities_executed = 0;
-  uint64_t connectors_evaluated = 0;
-  uint64_t dead_path_terminations = 0;
-  uint64_t reschedules = 0;
-  uint64_t program_failures = 0;
-  uint64_t retries = 0;            ///< crash retries granted by the policy
-  uint64_t backoff_waits = 0;      ///< retries that carried a non-zero delay
-  uint64_t backoff_wait_micros = 0;///< total delay across backoff_waits
-  uint64_t permanent_failures = 0; ///< errors classified permanent
-  uint64_t instances_failed = 0;   ///< top-level instances quarantined
-  uint64_t instances_detached = 0; ///< families migrated away (victim side)
-  uint64_t instances_stolen = 0;   ///< families adopted (thief side)
-  uint64_t steals_failed = 0;      ///< steal attempts that found nothing
-  uint64_t arena_spinups = 0;      ///< instances spun up from an arena image
-  uint64_t arena_shared_hits = 0;  ///< spin-ups served from a fleet-shared arena
-  uint64_t vm_condition_evals = 0;   ///< conditions run on the compiled VM
-  uint64_t tree_condition_evals = 0; ///< conditions run on the tree-walk
-  /// VM evaluations that ran the typed (monomorphic) program — a subset
-  /// of vm_condition_evals.
-  uint64_t typed_condition_evals = 0;
-  uint64_t step_program_dispatches = 0; ///< outgoing sweeps run fused
-  uint64_t steal_slice_shrinks = 0;  ///< adaptive slice halvings (fleet)
-  /// Steal-victim selections where the cost-aware score picked a
-  /// different victim than plain deepest-queue would have (fleet).
-  uint64_t steal_victim_cost_picks = 0;
-  uint64_t snapshots_written = 0;    ///< checkpoint records appended
-  uint64_t records_truncated = 0;    ///< journal records dropped behind snapshots
-  uint64_t recovery_records_replayed = 0; ///< records Recover() streamed
-  /// Outgoing sweeps dispatched to a native step function (these do NOT
-  /// also count in step_program_dispatches).
-  uint64_t native_step_dispatches = 0;
-  /// Activities whose step program could not be lowered to native code
-  /// (counted once per plan, first time the engine navigates it).
-  uint64_t native_compile_bailouts = 0;
-  /// Activities with a native step function (same per-plan accounting).
-  uint64_t native_programs_compiled = 0;
+#define EXO_STATS_FIELD(name, help) uint64_t name = 0;
+  EXO_ENGINE_STATS(EXO_STATS_FIELD)
+#undef EXO_STATS_FIELD
+
+  EngineStats& operator+=(const EngineStats& other) {
+#define EXO_STATS_ADD(name, help) name += other.name;
+    EXO_ENGINE_STATS(EXO_STATS_ADD)
+#undef EXO_STATS_ADD
+    return *this;
+  }
+
+  /// Field-wise difference: what happened between snapshot `since` and
+  /// this one.
+  EngineStats operator-(const EngineStats& since) const {
+    EngineStats d;
+#define EXO_STATS_SUB(name, help) d.name = name - since.name;
+    EXO_ENGINE_STATS(EXO_STATS_SUB)
+#undef EXO_STATS_SUB
+    return d;
+  }
 };
 
 /// \brief The navigator.
@@ -475,17 +442,16 @@ class Engine {
                                      const std::string& parent_instance,
                                      const std::string& parent_activity);
 
-  /// Allocates runtime state for every activity (arena copy, or the legacy
-  /// prototype walk when spinup_arena is off) and applies process-input
-  /// data connectors.
+  /// Allocates runtime state for every activity (one copy of the arena's
+  /// hot block plus an empty cold sidecar) and applies process-input data
+  /// connectors.
   Status InitializeRuntimes(ProcessInstance* inst);
 
-  /// Packed layout: cold containers start default-constructed; these
-  /// materialize them (arena prototype copy, or a registry walk without
-  /// an arena) on first touch. No-ops on the legacy layout and on
+  /// Cold containers start default-constructed; these materialize them
+  /// from the arena prototypes on first touch. No-ops on
   /// already-materialized containers.
-  Status MaterializeActivityInput(ProcessInstance* inst, uint32_t aid);
-  Status MaterializeActivityOutput(ProcessInstance* inst, uint32_t aid);
+  void MaterializeActivityInput(ProcessInstance* inst, uint32_t aid);
+  void MaterializeActivityOutput(ProcessInstance* inst, uint32_t aid);
 
   /// Lazily built per-definition spin-up image.
   Result<const InstanceArena*> ArenaFor(const wf::ProcessDefinition* def);
@@ -556,44 +522,19 @@ class Engine {
 
   /// Evaluates this activity's not-yet-evaluated outgoing control
   /// connectors (all false when `all_false`), journals them, and delivers
-  /// the signals. Dispatches to RunStepProgram when
-  /// EngineOptions::use_step_programs is on.
+  /// the signals.
   Status EvaluateOutgoing(ProcessInstance* inst, uint32_t aid, bool all_false);
 
-  /// The fused-sweep equivalent of the interpreted EvaluateOutgoing body:
-  /// executes the activity's plan-compiled step program on a threaded
-  /// dispatch loop (step.cc). Byte-identical journal records, audit
-  /// events, stats, and error messages.
-  Status RunStepProgram(ProcessInstance* inst, uint32_t aid, bool all_false);
+  /// Evaluates a non-trivial condition read from `input`: typed program
+  /// `vm` when the plan compiled one (vm >= 0), the tree-walk otherwise.
+  /// Counts vm/tree stats.
+  Result<bool> EvalCondition(int32_t vm, const expr::Condition& condition,
+                             const ProcessInstance* inst,
+                             const data::Container& input);
 
-  /// Dispatches the sweep to the plan's native step function when one was
-  /// compiled for this activity (native_step.cc). Returns true when the
-  /// native path ran to a decision (*out_status holds the sweep's result),
-  /// false when the caller must fall back to RunStepProgram.
-  bool TryNativeStepProgram(ProcessInstance* inst, uint32_t aid,
-                            bool all_false, Status* out_status);
-
-  /// Cold half of the native dispatch: first-encounter compile accounting
-  /// for a plan this engine has not navigated before.
-  void NoteNativePlan(const wf::NavigationPlan& plan,
-                      const codegen::NativeStepUnit* unit);
-
-  /// The C++ half of a native sweep's record block: journal + audit for
-  /// one freshly evaluated connector, in RunStepProgram's exact order.
-  /// Returns 0 or a native_err code (the Status is stashed in
-  /// native_record_status_).
-  static uint64_t NativeRecordThunk(codegen::NativeStepCtx* ctx,
-                                    uint32_t step_idx);
-
-  /// Rebuilds the interpreter's exact Status from a native error code.
-  Status DecodeNativeError(const ProcessInstance* inst, uint32_t aid,
-                           uint64_t code);
-
-  /// Evaluates compiled condition program `index` of `inst`'s plan
-  /// against `input`, honoring use_typed_conditions and counting
-  /// vm/typed stats.
-  Result<bool> EvalVmCondition(const ProcessInstance* inst, int32_t index,
-                               const data::Container& input);
+  /// Finishes an instance whose activities all settled (or that was
+  /// cancelled): sets the flag and counts it.
+  void MarkFinished(ProcessInstance* inst);
 
   Status DeliverSignal(ProcessInstance* inst, uint32_t connector_index,
                        bool value);
@@ -664,22 +605,6 @@ class Engine {
   /// DeliverSignal → ApplyJoin → MarkDead → sweep chain never aliases an
   /// in-use buffer; a nested sweep just starts from an empty pool).
   std::vector<std::pair<uint32_t, bool>> fresh_scratch_;
-
-  /// Native-dispatch gate, resolved once in the constructor:
-  /// use_native_step_programs requires the whole ladder below it.
-  bool native_enabled_ = false;
-  /// Plans whose native compile outcome was already folded into stats_
-  /// (first-navigation accounting of programs_compiled / bailouts).
-  /// native_last_plan_ short-circuits the set lookup on the dispatch hot
-  /// path: sweeps overwhelmingly repeat the plan they just navigated.
-  std::set<const wf::NavigationPlan*> native_counted_;
-  const wf::NavigationPlan* native_last_plan_ = nullptr;
-  /// Pooled fresh-signal buffer for native sweeps (same swap-out
-  /// reentrancy discipline as fresh_scratch_).
-  std::vector<codegen::FreshSignal> native_fresh_scratch_;
-  /// Journal/audit failure stashed by NativeRecordThunk for the sweep
-  /// wrapper to re-raise (native code can only return an integer).
-  Status native_record_status_;
 
   AuditTrail audit_;
   AuditObserver observer_;

@@ -228,9 +228,14 @@ Result<EngineFleet::BatchResult> EngineFleet::RunBatch(
   BatchResult result;
   result.errors.assign(engines_.size(), "");
 
-  // Baseline stats, so a reused fleet reports only this batch's deltas in
-  // the instance sweep below (stats aggregation stays cumulative, as
-  // before).
+  // Baselines, so a reused fleet reports only this batch: stats as a
+  // per-batch delta, and only the quarantines recorded during the batch.
+  std::vector<EngineStats> before(engines_.size());
+  std::vector<size_t> failed_before(engines_.size());
+  for (size_t e = 0; e < engines_.size(); ++e) {
+    before[e] = engines_[e]->stats();
+    failed_before[e] = engines_[e]->FailedInstances().size();
+  }
   if (fleet_.work_stealing && engines_.size() > 1) {
     RunStealing(assigned, &result);
   } else {
@@ -239,42 +244,15 @@ Result<EngineFleet::BatchResult> EngineFleet::RunBatch(
 
   for (size_t e = 0; e < engines_.size(); ++e) {
     const Engine& engine = *engines_[e];
-    const EngineStats& s = engine.stats();
-    result.aggregate.instances_started += s.instances_started;
-    result.aggregate.instances_finished += s.instances_finished;
-    result.aggregate.activities_executed += s.activities_executed;
-    result.aggregate.connectors_evaluated += s.connectors_evaluated;
-    result.aggregate.dead_path_terminations += s.dead_path_terminations;
-    result.aggregate.reschedules += s.reschedules;
-    result.aggregate.program_failures += s.program_failures;
-    result.aggregate.retries += s.retries;
-    result.aggregate.backoff_waits += s.backoff_waits;
-    result.aggregate.backoff_wait_micros += s.backoff_wait_micros;
-    result.aggregate.permanent_failures += s.permanent_failures;
-    result.aggregate.instances_failed += s.instances_failed;
-    result.aggregate.instances_detached += s.instances_detached;
-    result.aggregate.instances_stolen += s.instances_stolen;
-    result.aggregate.steals_failed += s.steals_failed;
-    result.aggregate.arena_spinups += s.arena_spinups;
-    result.aggregate.arena_shared_hits += s.arena_shared_hits;
-    result.aggregate.vm_condition_evals += s.vm_condition_evals;
-    result.aggregate.tree_condition_evals += s.tree_condition_evals;
-    result.aggregate.typed_condition_evals += s.typed_condition_evals;
-    result.aggregate.step_program_dispatches += s.step_program_dispatches;
-    result.aggregate.steal_slice_shrinks += s.steal_slice_shrinks;
-    result.aggregate.steal_victim_cost_picks += s.steal_victim_cost_picks;
-    result.aggregate.snapshots_written += s.snapshots_written;
-    result.aggregate.records_truncated += s.records_truncated;
-    result.aggregate.recovery_records_replayed += s.recovery_records_replayed;
-    result.aggregate.native_step_dispatches += s.native_step_dispatches;
-    result.aggregate.native_compile_bailouts += s.native_compile_bailouts;
-    result.aggregate.native_programs_compiled += s.native_programs_compiled;
-    result.instances_finished += s.instances_finished;
-    for (const Engine::FailedInstance& f : engine.FailedInstances()) {
+    result.aggregate += engine.stats() - before[e];
+    const std::vector<Engine::FailedInstance>& failed =
+        engine.FailedInstances();
+    for (size_t i = failed_before[e]; i < failed.size(); ++i) {
       result.failed_instances.push_back(
-          InstanceError{static_cast<int>(e), f.id, f.reason});
+          InstanceError{static_cast<int>(e), failed[i].id, failed[i].reason});
     }
   }
+  result.instances_finished = result.aggregate.roots_finished;
 
   // Stall sweep: a top-level instance that is neither finished nor
   // quarantined after every worker retired is stuck on manual work. An

@@ -85,16 +85,22 @@ class EngineFleet {
     std::string error;   ///< quarantine reason / stall description
   };
 
+  /// \brief What one RunBatch did. Everything here is per batch, so a
+  /// reused fleet does not re-report earlier batches.
   struct BatchResult {
+    /// Top-level instances that finished during this batch (block
+    /// children are not counted).
     uint64_t instances_finished = 0;
+    /// Every engine's stats delta over this batch, summed.
     EngineStats aggregate;
     /// Engine-level infrastructure errors (start failure, navigation
     /// error, journal I/O), one slot per engine; empty string = clean.
     /// The worker stops its engine's loop on these.
     std::vector<std::string> errors;
-    /// Per-instance failures: quarantined and stalled instances, across
-    /// all engines. One poisoned instance lands here without masking the
-    /// rest of the batch.
+    /// Per-instance failures across all engines: instances quarantined
+    /// during this batch, plus top-level instances left stalled at its
+    /// end. One poisoned instance lands here without masking the rest of
+    /// the batch.
     std::vector<InstanceError> failed_instances;
     bool ok() const {
       if (!failed_instances.empty()) return false;

@@ -121,6 +121,10 @@ struct Fig3Case {
   std::vector<std::string> want_effective;  // final committed-and-kept set
 };
 
+// Prints the case by name, so the listed test names carry no pointer
+// bytes (which differ from run to run under address randomization).
+void PrintTo(const Fig3Case& c, std::ostream* os) { *os << c.name; }
+
 class Figure3Test : public ::testing::TestWithParam<Fig3Case> {};
 
 TEST_P(Figure3Test, TakesTheExpectedPath) {

@@ -88,6 +88,10 @@ struct AbortPattern {
   std::vector<std::pair<std::string, int>> abort_first;
 };
 
+// Prints the pattern by name, so the listed test names carry no pointer
+// bytes (which differ from run to run under address randomization).
+void PrintTo(const AbortPattern& p, std::ostream* os) { *os << p.name; }
+
 class FlexFigure4Test : public ::testing::TestWithParam<AbortPattern> {};
 
 TEST_P(FlexFigure4Test, WorkflowMatchesNativeExecutor) {

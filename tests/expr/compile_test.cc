@@ -14,7 +14,7 @@ namespace {
 
 using data::ScalarType;
 using data::Value;
-using Op = CompiledCondition::Op;
+using TOp = CompiledCondition::TOp;
 
 class CompileTest : public ::testing::Test {
  protected:
@@ -67,7 +67,7 @@ TEST_F(CompileTest, ConstantFoldingCollapsesLiteralSubtrees) {
   ASSERT_TRUE(prog.ok());
   // The whole identifier-free expression folds to a single constant push.
   ASSERT_EQ(prog->code().size(), 1u);
-  EXPECT_EQ(prog->code()[0].op, Op::kConst);
+  EXPECT_EQ(prog->code()[0].op, TOp::kConstB);
   EXPECT_EQ(prog->max_stack(), 1u);
   auto v = prog->Evaluate(*container_);
   ASSERT_TRUE(v.ok());
@@ -88,7 +88,7 @@ TEST_F(CompileTest, IdentifiersBindToLayoutSlots) {
   auto prog = Compile("i = 6");
   ASSERT_TRUE(prog.ok());
   ASSERT_EQ(prog->code().size(), 3u);
-  EXPECT_EQ(prog->code()[0].op, Op::kLoad);
+  EXPECT_EQ(prog->code()[0].op, TOp::kLoadI64);
   EXPECT_EQ(prog->code()[0].a, container_->SlotIndex("i"));
   EXPECT_EQ(prog->bound_type(), "Vals");
   EXPECT_GE(prog->min_slots(), container_->SlotIndex("i") + 1);
@@ -106,7 +106,7 @@ TEST_F(CompileTest, UnknownIdentifierIsUnsupported) {
 TEST_F(CompileTest, ArithmeticAndComparisonsMatchTreeWalk) {
   for (const char* src :
        {"i + f", "i - 2", "i * i", "i / 2", "i % 4", "-i", "i < f", "i <= 6",
-        "i > f", "i >= 7", "i = 6", "i <> 6", "s = \"abc\"", "s < \"b\"",
+        "i > f", "i >= 7", "i = 6", "i <> 6", "b = TRUE", "b <> (i = 6)",
         "f + 1.5", "7 / 2", "7.0 / 2", "i + f * 2.0 - 1"}) {
     auto node = Parse(src);
     ASSERT_TRUE(node.ok()) << src;
@@ -153,19 +153,34 @@ TEST_F(CompileTest, NullOperandErrorMatchesTreeWalkMessage) {
 }
 
 TEST_F(CompileTest, TypeErrorMessagesMatchTreeWalk) {
+  // An expression whose execution is a type error does not type, so it
+  // gets no program: the navigator tree-walks it, and the message is the
+  // tree-walk's own by construction.
   for (const char* src : {"s + 1", "b < TRUE", "i % 2.5", "NOT i", "-s",
-                          "b AND 1", "1 OR b", "s * s"}) {
+                          "b AND 1", "1 OR b", "s * s", "i = b"}) {
     auto node = Parse(src);
     ASSERT_TRUE(node.ok()) << src;
     auto prog = ConditionCompiler::Compile(node->get(), *container_);
-    ASSERT_TRUE(prog.ok()) << src;
+    ASSERT_FALSE(prog.ok()) << src;
+    EXPECT_TRUE(prog.status().IsUnsupported()) << src;
     ContainerResolver resolver(*container_);
-    auto tree = Evaluate(**node, resolver);
-    auto vm = prog->Evaluate(*container_);
-    ASSERT_FALSE(tree.ok()) << src;
-    ASSERT_FALSE(vm.ok()) << src;
-    EXPECT_EQ(tree.status().ToString(), vm.status().ToString()) << src;
+    EXPECT_FALSE(Evaluate(**node, resolver).ok()) << src;
   }
+}
+
+TEST_F(CompileTest, StringOperandsHaveNoProgram) {
+  // Strings have no typed cell; these evaluate fine on the tree-walk,
+  // which is where the navigator sends them.
+  for (const char* src : {"s = \"abc\"", "s < \"b\"", "i = 6 AND s = \"x\""}) {
+    auto prog = Compile(src);
+    ASSERT_FALSE(prog.ok()) << src;
+    EXPECT_TRUE(prog.status().IsUnsupported()) << src;
+  }
+  // A string comparison between literals folds to a boolean constant,
+  // which does type.
+  auto folded = Compile("\"a\" < \"b\" AND i = 6");
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_EQ(*folded->Evaluate(*container_), Value(true));
 }
 
 TEST_F(CompileTest, EvaluateBoolRejectsNonBooleanResult) {

@@ -1,13 +1,10 @@
-// Differential property test: the compiled-condition VM must agree with
-// the tree-walk evaluator on every expression it accepts — same value on
+// Differential property test: the typed condition VM must agree with the
+// tree-walk evaluator on every expression it compiles — same value on
 // success, same status (code AND message) on error — across randomized
 // expressions and randomized container states, including null members and
-// type errors. Four-way since native codegen landed: tree-walk vs the
-// generic VM (EvaluateGeneric) vs the typed monomorphic VM (Evaluate,
-// which runs the typed program whenever the compiler emitted one) vs the
-// native x86-64 function (codegen::NativeCondition, compiled from the
-// same typed program) must all be byte-identical. The native arm skips
-// itself on builds without the emitter.
+// type errors. Expressions that do not type compile to no program at all
+// (Unsupported), and the engine tree-walks them; a sample of both kinds is
+// also run through an engine to check it reaches the tree-walk's outcome.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "codegen/step_jit.h"
 #include "common/rng.h"
 #include "data/container.h"
 #include "expr/ast.h"
@@ -23,6 +19,8 @@
 #include "expr/eval.h"
 #include "expr/parser.h"
 #include "expr/vm.h"
+#include "wf/builder.h"
+#include "wfrt/engine.h"
 
 namespace exotica::expr {
 namespace {
@@ -123,76 +121,50 @@ class VmDifferentialTest : public ::testing::Test {
   data::TypeRegistry reg_;
 };
 
+/// What the compiled program says about one expression, side by side with
+/// the tree-walk: both must succeed with equal values or fail with equal
+/// status strings.
+template <typename T>
+void ExpectSameOutcome(const Result<T>& tree, const Result<T>& vm,
+                       const std::string& what) {
+  ASSERT_EQ(tree.ok(), vm.ok())
+      << what << "\n tree: "
+      << (tree.ok() ? "ok" : tree.status().ToString())
+      << "\n vm:   " << (vm.ok() ? "ok" : vm.status().ToString());
+  if (tree.ok()) {
+    // No NaN can occur (division by zero errors out, % is long-only), so
+    // structural equality is exact.
+    ASSERT_EQ(*tree, *vm) << what;
+  } else {
+    ASSERT_EQ(tree.status().ToString(), vm.status().ToString()) << what;
+  }
+}
+
 TEST_F(VmDifferentialTest, TenThousandRandomExpressionsAgree) {
   Rng rng(20260806);
   ExprGen gen(&rng);
 
-  const bool native_available = codegen::NativeCodegenAvailable();
-  int compiled = 0, agreed_values = 0, agreed_errors = 0, typed = 0;
-  int native_compiled = 0;
+  int typed = 0, untyped = 0, agreed_values = 0, agreed_errors = 0;
   constexpr int kExpressions = 12000;
   for (int i = 0; i < kExpressions; ++i) {
     NodePtr node = gen.Gen(5);
     data::Container container = RandomContainer(&rng);
-
-    auto prog = ConditionCompiler::Compile(node.get(), container);
-    // Every identifier the generator emits exists in Fuzz and depth is
-    // bounded, so compilation must always succeed.
-    ASSERT_TRUE(prog.ok()) << node->ToString() << ": "
-                           << prog.status().ToString();
-    ++compiled;
-    if (prog->typed()) ++typed;
-
     ContainerResolver resolver(container);
     Result<Value> tree = Evaluate(*node, resolver);
-    Result<Value> generic = prog->EvaluateGeneric(container);
-    Result<Value> vm = prog->Evaluate(container);  // typed when available
+    tree.ok() ? ++agreed_values : ++agreed_errors;
 
-    // Fourth arm: the typed program lowered to machine code. Every typed
-    // program uses only ops the emitter supports, so compilation must
-    // succeed whenever a typed program exists at all.
-    std::unique_ptr<codegen::NativeCondition> native;
-    if (native_available && prog->typed()) {
-      native = codegen::NativeCondition::Compile(*prog);
-      ASSERT_NE(native, nullptr) << node->ToString();
-      ++native_compiled;
-      Result<Value> nat = native->Evaluate(container);
-      ASSERT_EQ(vm.ok(), nat.ok())
-          << node->ToString() << "\n vm:     "
-          << (vm.ok() ? vm->ToString() : vm.status().ToString())
-          << "\n native: "
-          << (nat.ok() ? nat->ToString() : nat.status().ToString());
-      if (vm.ok()) {
-        ASSERT_EQ(*vm, *nat) << node->ToString();
-      } else {
-        ASSERT_EQ(vm.status().ToString(), nat.status().ToString())
-            << node->ToString();
-      }
+    auto prog = ConditionCompiler::Compile(node.get(), container);
+    if (!prog.ok()) {
+      // Every identifier the generator emits exists in Fuzz and depth is
+      // bounded, so the only reason to refuse is that the expression
+      // does not type: it gets no program and tree-walks.
+      ASSERT_TRUE(prog.status().IsUnsupported())
+          << node->ToString() << ": " << prog.status().ToString();
+      ++untyped;
+      continue;
     }
-
-    ASSERT_EQ(tree.ok(), generic.ok())
-        << node->ToString() << "\n tree:    "
-        << (tree.ok() ? tree->ToString() : tree.status().ToString())
-        << "\n generic: "
-        << (generic.ok() ? generic->ToString()
-                         : generic.status().ToString());
-    ASSERT_EQ(tree.ok(), vm.ok())
-        << node->ToString() << "\n tree: "
-        << (tree.ok() ? tree->ToString() : tree.status().ToString())
-        << "\n vm:   " << (vm.ok() ? vm->ToString() : vm.status().ToString());
-    if (tree.ok()) {
-      // No NaN can occur (division by zero errors out, % is long-only),
-      // so structural Value equality is exact.
-      ASSERT_EQ(*tree, *generic) << node->ToString();
-      ASSERT_EQ(*tree, *vm) << node->ToString();
-      ++agreed_values;
-    } else {
-      ASSERT_EQ(tree.status().ToString(), generic.status().ToString())
-          << node->ToString();
-      ASSERT_EQ(tree.status().ToString(), vm.status().ToString())
-          << node->ToString();
-      ++agreed_errors;
-    }
+    ++typed;
+    ExpectSameOutcome(tree, prog->Evaluate(container), node->ToString());
 
     // When the canonical text reparses (the generator can build trees the
     // grammar cannot express, e.g. chained comparisons), the reparsed
@@ -202,28 +174,18 @@ TEST_F(VmDifferentialTest, TenThousandRandomExpressionsAgree) {
       auto reparsed = Parse(node->ToString());
       if (reparsed.ok()) {
         auto prog2 = ConditionCompiler::Compile(reparsed->get(), container);
-        ASSERT_TRUE(prog2.ok());
-        Result<Value> vm2 = prog2->Evaluate(container);
-        ASSERT_EQ(vm.ok(), vm2.ok()) << node->ToString();
-        if (vm.ok()) {
-          ASSERT_EQ(*vm, *vm2) << node->ToString();
-        }
+        ASSERT_TRUE(prog2.ok()) << node->ToString();
+        ExpectSameOutcome(tree, prog2->Evaluate(container), node->ToString());
       }
     }
   }
-  EXPECT_EQ(compiled, kExpressions);
-  // Sanity: the generator must actually exercise both regimes, and the
-  // typing pass must monomorphize a meaningful share of the corpus (the
-  // generator mixes string identifiers/literals in, so never all of it).
+  // Sanity: the generator must exercise both regimes, and the typing pass
+  // must monomorphize a meaningful share of the corpus (the generator
+  // mixes string identifiers/literals in, so never all of it).
   EXPECT_GT(agreed_values, 1000);
   EXPECT_GT(agreed_errors, 1000);
   EXPECT_GT(typed, 1000);
-  EXPECT_LT(typed, kExpressions);
-  // On emitter-enabled builds the native arm must have actually run over
-  // the full typed share of the corpus.
-  if (native_available) {
-    EXPECT_EQ(native_compiled, typed);
-  }
+  EXPECT_GT(untyped, 1000);
 }
 
 TEST_F(VmDifferentialTest, BoolCoercionAgreesUnderEvaluateBool) {
@@ -233,36 +195,77 @@ TEST_F(VmDifferentialTest, BoolCoercionAgreesUnderEvaluateBool) {
     NodePtr node = gen.Gen(4);
     data::Container container = RandomContainer(&rng);
     auto prog = ConditionCompiler::Compile(node.get(), container);
-    ASSERT_TRUE(prog.ok());
-
+    if (!prog.ok()) {
+      ASSERT_TRUE(prog.status().IsUnsupported()) << node->ToString();
+      continue;
+    }
     ContainerResolver resolver(container);
-    Result<bool> tree = EvaluateBool(*node, resolver);
-    Result<bool> generic = prog->EvaluateBoolGeneric(container);
-    Result<bool> vm = prog->EvaluateBool(container);  // typed when available
-    ASSERT_EQ(tree.ok(), generic.ok()) << node->ToString();
-    ASSERT_EQ(tree.ok(), vm.ok()) << node->ToString();
-    if (codegen::NativeCodegenAvailable() && prog->typed()) {
-      auto native = codegen::NativeCondition::Compile(*prog);
-      ASSERT_NE(native, nullptr) << node->ToString();
-      Result<bool> nat = native->EvaluateBool(container);
-      ASSERT_EQ(vm.ok(), nat.ok()) << node->ToString();
-      if (vm.ok()) {
-        ASSERT_EQ(*vm, *nat) << node->ToString();
-      } else {
-        ASSERT_EQ(vm.status().ToString(), nat.status().ToString())
-            << node->ToString();
-      }
-    }
-    if (tree.ok()) {
-      ASSERT_EQ(*tree, *generic) << node->ToString();
-      ASSERT_EQ(*tree, *vm) << node->ToString();
-    } else {
-      ASSERT_EQ(tree.status().ToString(), generic.status().ToString())
-          << node->ToString();
-      ASSERT_EQ(tree.status().ToString(), vm.status().ToString())
-          << node->ToString();
-    }
+    ExpectSameOutcome(EvaluateBool(*node, resolver),
+                      prog->EvaluateBool(container), node->ToString());
   }
+}
+
+// A sample of the corpus as transition conditions of a registered
+// process: whether the plan compiled a typed program or left the
+// condition to the tree-walk, navigation must land where the tree-walk
+// says — successor started, successor dead, or the tree-walk's error.
+TEST_F(VmDifferentialTest, EngineReachesTreeWalkOutcome) {
+  Rng rng(99);
+  ExprGen gen(&rng);
+  int typed = 0, untyped = 0;
+  for (int i = 0; i < 400; ++i) {
+    NodePtr node = gen.Gen(4);
+    auto reparsed = Parse(node->ToString());
+    if (!reparsed.ok()) continue;  // not expressible as condition text
+    data::Container container = RandomContainer(&rng);
+    ContainerResolver resolver(container);
+    Result<bool> tree = EvaluateBool(**reparsed, resolver);
+
+    wf::DefinitionStore store;
+    auto fuzz = reg_.Find("Fuzz");
+    ASSERT_TRUE(fuzz.ok());
+    ASSERT_TRUE(store.types().Register(**fuzz).ok());
+    wf::ProgramDeclaration decl;
+    decl.name = "emit";
+    decl.output_type = "Fuzz";
+    ASSERT_TRUE(store.DeclareProgram(std::move(decl)).ok());
+    wfrt::ProgramRegistry programs;
+    ASSERT_TRUE(programs
+                    .Bind("emit",
+                          [&container](const data::Container&,
+                                       data::Container* out,
+                                       const wfrt::ProgramContext&) {
+                            *out = container;
+                            return Status::OK();
+                          })
+                    .ok());
+    wf::ProcessBuilder b(&store, "p");
+    b.Program("A", "emit").Program("B", "emit");
+    b.Connect("A", "B", node->ToString());
+    ASSERT_TRUE(b.Register().ok()) << node->ToString();
+    auto def = store.FindProcess("p");
+    ASSERT_TRUE(def.ok());
+    (*def)->plan().connector(0).cond_vm >= 0 ? ++typed : ++untyped;
+
+    wfrt::Engine engine(&store, &programs);
+    auto id = engine.StartProcess("p");
+    ASSERT_TRUE(id.ok());
+    Status st = engine.Run();
+    if (!tree.ok()) {
+      EXPECT_EQ(st.ToString(),
+                tree.status()
+                    .WithContext("transition condition A -> B in " + *id)
+                    .ToString())
+          << node->ToString();
+      continue;
+    }
+    ASSERT_TRUE(st.ok()) << node->ToString() << ": " << st.ToString();
+    EXPECT_EQ(*engine.StateOf(*id, "B"), *tree ? wf::ActivityState::kTerminated
+                                               : wf::ActivityState::kDead)
+        << node->ToString();
+  }
+  EXPECT_GT(typed, 20);
+  EXPECT_GT(untyped, 20);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Engine-level behaviour of the compiled condition VM: registered plans
-// carry slot-bound programs, navigation routes conditions through them
-// (stats prove it), the A/B toggle reproduces identical traces, and the
-// fleet shares one spin-up arena per definition.
+// Engine-level behaviour of the typed condition VM: registered plans
+// carry slot-bound typed programs, navigation routes conditions through
+// them (stats prove it), untypeable conditions fall back to the tree-walk
+// with its exact errors, and the fleet shares one spin-up arena per
+// definition.
 
 #include <gtest/gtest.h>
 
@@ -83,40 +84,76 @@ TEST_F(ConditionVmTest, NavigationUsesVmAndCountsIt) {
   auto id = engine.RunToCompletion("p");
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EXPECT_TRUE(engine.IsFinished(*id));
+  // Both conditions read only RC (a long), so both have typed programs.
   EXPECT_EQ(engine.stats().vm_condition_evals, 2u);
   EXPECT_EQ(engine.stats().tree_condition_evals, 0u);
-  // Both conditions read only RC (a long), so the typing pass
-  // monomorphizes them: every VM eval ran the typed program.
-  EXPECT_EQ(engine.stats().typed_condition_evals, 2u);
 }
 
-TEST_F(ConditionVmTest, ToggleOffFallsBackToTreeWalk) {
-  Register("p", 0);
-  wfrt::EngineOptions options;
-  options.use_condition_vm = false;
-  wfrt::Engine engine(&store_, &programs_, options);
-  auto id = engine.RunToCompletion("p");
+TEST_F(ConditionVmTest, UntypeableConditionFallsBackToTreeWalk) {
+  // String operands do not type: those connectors get no program, and the
+  // engine reaches the tree-walk's result for them.
+  data::StructType named("Named");
+  ASSERT_TRUE(named.AddScalar("RC", data::ScalarType::kLong).ok());
+  ASSERT_TRUE(named.AddScalar("Name", data::ScalarType::kString).ok());
+  ASSERT_TRUE(store_.types().Register(std::move(named)).ok());
+  wf::ProgramDeclaration decl;
+  decl.name = "named";
+  decl.output_type = "Named";
+  ASSERT_TRUE(store_.DeclareProgram(std::move(decl)).ok());
+  ASSERT_TRUE(programs_
+                  .Bind("named",
+                        [](const data::Container&, data::Container* out,
+                           const wfrt::ProgramContext&) -> Status {
+                          EXO_RETURN_NOT_OK(
+                              out->Set("RC", data::Value(int64_t{0})));
+                          return out->Set("Name", data::Value("x"));
+                        })
+                  .ok());
+  ASSERT_TRUE(DeclareDefaultProgram(&store_, "ok").ok());
+  ASSERT_TRUE(BindConstRc(&programs_, "ok", 0).ok());
+  wf::ProcessBuilder b(&store_, "strings");
+  b.Program("A", "named").Program("B", "ok").Program("C", "ok");
+  b.Connect("A", "B", "Name = \"x\" AND RC = 0");
+  b.Connect("A", "C", "Name < \"a\"");
+  ASSERT_TRUE(b.Register().ok());
+  auto def = store_.FindProcess("strings");
+  ASSERT_TRUE(def.ok());
+  EXPECT_EQ((*def)->plan().vm_program_count(), 0u);
+  EXPECT_EQ((*def)->plan().connector(0).cond_vm, -1);
+  EXPECT_EQ((*def)->plan().connector(1).cond_vm, -1);
+
+  wfrt::Engine engine(&store_, &programs_);
+  auto id = engine.RunToCompletion("strings");
   ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(*engine.StateOf(*id, "B"), ActivityState::kTerminated);
+  EXPECT_EQ(*engine.StateOf(*id, "C"), ActivityState::kDead);
   EXPECT_EQ(engine.stats().vm_condition_evals, 0u);
   EXPECT_EQ(engine.stats().tree_condition_evals, 2u);
 }
 
 TEST_F(ConditionVmTest, VmAndTreeWalkProduceIdenticalTraces) {
   Register("p", 1);  // RC=1: first connector false → B, C dead via DPE
-  std::vector<std::string> traces[2];
-  int t = 0;
-  for (bool use_vm : {true, false}) {
-    wfrt::EngineOptions options;
-    options.use_condition_vm = use_vm;
-    wfrt::Engine engine(&store_, &programs_, options);
-    auto id = engine.RunToCompletion("p");
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    EXPECT_EQ(*engine.StateOf(*id, "B"), ActivityState::kDead);
-    EXPECT_EQ(*engine.StateOf(*id, "C"), ActivityState::kDead);
-    traces[t++] = engine.audit().CompactTrace(*id, {});
-  }
-  // Byte-identical navigation, event for event.
-  EXPECT_EQ(traces[0], traces[1]);
+  wfrt::Engine engine(&store_, &programs_);
+  auto id = engine.RunToCompletion("p");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(*engine.StateOf(*id, "B"), ActivityState::kDead);
+  EXPECT_EQ(*engine.StateOf(*id, "C"), ActivityState::kDead);
+  EXPECT_EQ(engine.stats().tree_condition_evals, 0u);
+  // The trace both evaluators produced, event for event, when the engine
+  // could still run either on this process.
+  EXPECT_EQ(engine.audit().CompactTrace(*id, {}),
+            std::vector<std::string>({
+                "wf-1:instance-started",
+                "A:ready",
+                "A:started",
+                "A:finished",
+                "A:terminated",
+                "A->B:false",
+                "B:dead",
+                "B->C:false",
+                "C:dead",
+                "wf-1:instance-finished",
+            }));
 }
 
 TEST_F(ConditionVmTest, ExitConditionLoopsThroughVm) {
@@ -137,7 +174,6 @@ TEST_F(ConditionVmTest, ExitConditionLoopsThroughVm) {
   EXPECT_TRUE(engine.IsFinished(*id));
   EXPECT_EQ(engine.stats().reschedules, 2u);
   EXPECT_EQ(engine.stats().vm_condition_evals, 3u);
-  EXPECT_EQ(engine.stats().typed_condition_evals, 3u);
 }
 
 TEST_F(ConditionVmTest, ConditionErrorIsFalseStillHonoredOnVmPath) {
@@ -145,9 +181,13 @@ TEST_F(ConditionVmTest, ConditionErrorIsFalseStillHonoredOnVmPath) {
   ASSERT_TRUE(BindConstRc(&programs_, "ok", 0).ok());
   wf::ProcessBuilder b(&store_, "err");
   b.Program("A", "ok").Program("B", "ok");
-  // Type error at evaluation time: RC is a long, "x" a string.
-  b.Connect("A", "B", "RC < \"x\"");
+  // Division by zero at evaluation time (RC is 0): a data-dependent error
+  // the typed program raises itself.
+  b.Connect("A", "B", "10 / RC = 1");
   ASSERT_TRUE(b.Register().ok());
+  auto def = store_.FindProcess("err");
+  ASSERT_TRUE(def.ok());
+  ASSERT_GE((*def)->plan().connector(0).cond_vm, 0);
 
   wfrt::EngineOptions options;
   options.condition_error_is_false = true;
@@ -155,22 +195,16 @@ TEST_F(ConditionVmTest, ConditionErrorIsFalseStillHonoredOnVmPath) {
   auto id = engine.RunToCompletion("err");
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EXPECT_EQ(*engine.StateOf(*id, "B"), ActivityState::kDead);
+  EXPECT_EQ(engine.stats().vm_condition_evals, 1u);
 
-  // Without the option, navigation fails with the same error either way.
-  wfrt::Engine strict_vm(&store_, &programs_);
-  auto vm_id = strict_vm.StartProcess("err");
-  ASSERT_TRUE(vm_id.ok());
-  Status vm_err = strict_vm.Run();
-  ASSERT_FALSE(vm_err.ok());
-
-  wfrt::EngineOptions tree_options;
-  tree_options.use_condition_vm = false;
-  wfrt::Engine strict_tree(&store_, &programs_, tree_options);
-  auto tree_id = strict_tree.StartProcess("err");
-  ASSERT_TRUE(tree_id.ok());
-  Status tree_err = strict_tree.Run();
-  ASSERT_FALSE(tree_err.ok());
-  EXPECT_EQ(vm_err.ToString(), tree_err.ToString());
+  // Without the option, navigation fails with the tree-walk's message.
+  wfrt::Engine strict(&store_, &programs_);
+  ASSERT_TRUE(strict.StartProcess("err").ok());
+  Status err = strict.Run();
+  ASSERT_FALSE(err.ok());
+  EXPECT_EQ(err.ToString(),
+            "InvalidArgument: transition condition A -> B in wf-1: "
+            "division by zero in condition");
 }
 
 TEST_F(ConditionVmTest, FleetSharesOneArenaPerDefinition) {
@@ -183,16 +217,8 @@ TEST_F(ConditionVmTest, FleetSharesOneArenaPerDefinition) {
   // Every spin-up hit the fleet-shared arena rather than a private one.
   EXPECT_EQ(result->aggregate.arena_spinups, 32u);
   EXPECT_EQ(result->aggregate.arena_shared_hits, 32u);
-  EXPECT_GT(result->aggregate.vm_condition_evals, 0u);
+  EXPECT_EQ(result->aggregate.vm_condition_evals, 64u);
   EXPECT_EQ(result->aggregate.tree_condition_evals, 0u);
-  // Typed programs and step dispatches flow through BatchResult too.
-  // Every sweep dispatches through exactly one rung — natively where
-  // this build compiled the plan, threaded code otherwise.
-  EXPECT_EQ(result->aggregate.typed_condition_evals,
-            result->aggregate.vm_condition_evals);
-  EXPECT_GT(result->aggregate.step_program_dispatches +
-                result->aggregate.native_step_dispatches,
-            0u);
 }
 
 }  // namespace

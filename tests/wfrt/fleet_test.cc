@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "atm/saga.h"
 #include "common/strings.h"
 #include "exotica/programs.h"
@@ -72,9 +74,9 @@ TEST(FleetTest, SagaGuaranteeHoldsAcrossConcurrentEngines) {
   for (const std::string& e : result->errors) {
     EXPECT_TRUE(e.empty()) << e;
   }
-  // instances_finished counts block children too; the root count is what
-  // must match the batch size.
-  EXPECT_GE(result->instances_finished, static_cast<uint64_t>(kInstances));
+  // instances_finished counts roots only; the stats count block children.
+  EXPECT_EQ(result->instances_finished, static_cast<uint64_t>(kInstances));
+  EXPECT_GT(result->aggregate.instances_finished, result->instances_finished);
 
   // Count outcomes across engines: committed sagas applied all three
   // increments; aborted ones net zero.
@@ -134,17 +136,22 @@ TEST(FleetTest, SharedArenasCoverSubprocessClosure) {
   auto result = fleet.RunBatch("outer", kInstances);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->ok());
-  // Block children count as instances too: one inner per outer.
-  EXPECT_EQ(result->instances_finished, 2u * kInstances);
+  // The batch reports its roots; the stats count the inner block child of
+  // every outer instance too.
+  EXPECT_EQ(result->instances_finished, static_cast<uint64_t>(kInstances));
+  EXPECT_EQ(result->aggregate.instances_finished, 2u * kInstances);
   // One spin-up for each outer instance plus one for each inner block
   // child — every single one from a shared arena, none private.
   EXPECT_EQ(result->aggregate.arena_spinups, 2u * kInstances);
   EXPECT_EQ(result->aggregate.arena_shared_hits, 2u * kInstances);
 
-  // A second batch reuses the same arenas without rebuilding.
+  // A second batch reuses the same arenas without rebuilding, and reports
+  // only its own spin-ups.
   auto again = fleet.RunBatch("outer", kEngines);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->ok());
+  EXPECT_EQ(again->instances_finished, static_cast<uint64_t>(kEngines));
+  EXPECT_EQ(again->aggregate.arena_shared_hits, 2u * kEngines);
 }
 
 TEST(FleetTest, RoundRobinDistribution) {
@@ -214,6 +221,81 @@ TEST(FleetTest, QuarantinedInstancesAreReportedAndDoNotMaskOthers) {
     EXPECT_NE(err.error.find("permanent"), std::string::npos) << err.error;
   }
   EXPECT_NE(result->failed_instances[0].id, result->failed_instances[1].id);
+}
+
+TEST(FleetTest, ReusedFleetReportsPerBatchResults) {
+  // One fleet, two batches of N roots; one instance of batch 1 is poisoned
+  // permanently. Batch 2 must report its own N finished roots and come
+  // back clean — batch 1's quarantine is not re-reported.
+  constexpr int kRoots = 8;
+  wf::DefinitionStore store;
+  wfrt::ProgramRegistry programs;
+  ASSERT_TRUE(test::DeclareDefaultProgram(&store, "picky").ok());
+  ASSERT_TRUE(test::DeclareDefaultProgram(&store, "ok").ok());
+  ASSERT_TRUE(test::BindConstRc(&programs, "ok", 0).ok());
+  ASSERT_TRUE(programs
+                  .Bind("picky",
+                        [](const data::Container&, data::Container* out,
+                           const wfrt::ProgramContext& ctx) -> Status {
+                          if (ctx.instance_id == "e0:wf-1") {
+                            return Status::Unsupported("bad instance");
+                          }
+                          return out->Set("RC", data::Value(int64_t{0}));
+                        })
+                  .ok());
+  // A block per root, so the stats count more instances than roots.
+  wf::ProcessBuilder inner(&store, "inner");
+  inner.Program("X", "ok");
+  ASSERT_TRUE(inner.Register().ok());
+  wf::ProcessBuilder b(&store, "p");
+  b.Program("A", "picky");
+  b.Block("B", "inner");
+  b.Connect("A", "B");
+  ASSERT_TRUE(b.Register().ok());
+
+  wfrt::EngineFleet fleet(&store, &programs, 2);
+  auto first = fleet.RunBatch("p", kRoots);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(first->ok());
+  EXPECT_EQ(first->instances_finished, static_cast<uint64_t>(kRoots - 1));
+  ASSERT_EQ(first->failed_instances.size(), 1u);
+  EXPECT_EQ(first->failed_instances[0].id, "e0:wf-1");
+  EXPECT_EQ(first->aggregate.instances_failed, 1u);
+
+  auto second = fleet.RunBatch("p", kRoots);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(second->ok());
+  EXPECT_EQ(second->instances_finished, static_cast<uint64_t>(kRoots));
+  EXPECT_TRUE(second->failed_instances.empty());
+  EXPECT_EQ(second->aggregate.instances_failed, 0u);
+  EXPECT_EQ(second->aggregate.roots_finished, static_cast<uint64_t>(kRoots));
+  EXPECT_EQ(second->aggregate.instances_finished, 2u * kRoots);
+}
+
+TEST(EngineStatsTest, TableDrivesEveryField) {
+  // Every counter is declared once in EXO_ENGINE_STATS, with its help
+  // text, and the generated struct, aggregation and delta cover it all.
+#define EXO_COUNT_FIELD(name, help) +1
+  constexpr size_t kFields = 0 EXO_ENGINE_STATS(EXO_COUNT_FIELD);
+#undef EXO_COUNT_FIELD
+  EXPECT_EQ(sizeof(wfrt::EngineStats), kFields * sizeof(uint64_t));
+#define EXO_CHECK_HELP(name, help) EXPECT_GT(std::string(help).size(), 0u);
+  EXO_ENGINE_STATS(EXO_CHECK_HELP)
+#undef EXO_CHECK_HELP
+
+  wfrt::EngineStats a;
+  uint64_t v = 0;
+#define EXO_SET_FIELD(name, help) a.name = ++v;
+  EXO_ENGINE_STATS(EXO_SET_FIELD)
+#undef EXO_SET_FIELD
+  wfrt::EngineStats sum = a;
+  sum += a;
+  wfrt::EngineStats delta = sum - a;
+#define EXO_CHECK_FIELD(name, help)    \
+  EXPECT_EQ(sum.name, 2 * a.name) << #name; \
+  EXPECT_EQ(delta.name, a.name) << #name;
+  EXO_ENGINE_STATS(EXO_CHECK_FIELD)
+#undef EXO_CHECK_FIELD
 }
 
 TEST(FleetTest, ErrorsSurfacePerEngine) {

@@ -1,68 +1,22 @@
 #!/usr/bin/env python3
-"""Bench-regression gate for the conditioned-chain navigation numbers.
+"""Bench-regression gate for snapshot recovery.
 
-Compares a fresh bench_navigation run against the committed
-BENCH_cond.json baseline. Absolute times are not comparable across
-machines, so the check is ratio-based: the fresh run re-measures both
-sides of each head-to-head (tree-walk vm:0 vs compiled VM vm:1) and the
-resulting speedup must not drop more than --tolerance (default 10%)
-below the baseline's recorded speedup. A drop means a change slowed the
-compiled path relative to the tree-walk reference — the regression the
-gate exists to catch.
-
-Optionally (--min-step-speedup R) also requires the fused step-program
-chain (BM_StepChainNavigation step:1) to beat the same run's
-interpreted-VM conditioned chain (vm:1) by at least R on the best chain
-length — the compilation-ladder acceptance number tracked in
-BENCH_step.json.
-
-Optionally (--recovery-fresh FILE) gates the snapshot-recovery numbers
-from a fresh bench_recovery run (RecoverAfterHistory rows): with
-checkpoints on, recovering at 10x the history must stay flat —
-t(history:100/snap:1) / t(history:10/snap:1) <= --max-snapshot-flatness
-(default 1.2) — and the checkpointed recovery must beat full replay at
-the long history by at least --min-snapshot-speedup (default 2.0).
-These ratios come from one run on one machine, so they need no
-committed baseline. The sharded-recovery speedup is deliberately NOT
+Gates the snapshot-recovery numbers from a fresh bench_recovery run
+(RecoverAfterHistory rows): with checkpoints on, recovering at 10x the
+history must stay flat — t(history:100/snap:1) / t(history:10/snap:1) <=
+--max-snapshot-flatness (default 1.2) — and the checkpointed recovery must
+beat full replay at the long history by at least --min-snapshot-speedup
+(default 2.0). These ratios come from one run on one machine, so they need
+no committed baseline. The sharded-recovery speedup is deliberately NOT
 gated: it tracks the machine's core count.
 
-Optionally (--layout-fresh FILE) gates the instance-layout numbers from
-a fresh bench_navigation PackedChain run (plus PackedStartInstance rows
-if present in the same file or in --layout-spinup-fresh). The headline
-gate is spin-up: the packed SoA hot/cold layout must beat legacy AoS
-StartProcess by at least --min-packed-spinup (default 1.15) at n:100 —
-that is where the layout removes the per-activity struct copy outright.
-On the n:1000 fused chain the packed layout is gated as a no-regression
-floor (--min-packed-speedup, default 0.90): the chain's settle sweep
-was already O(1) before the split, so navigation only has the smaller
-dense-plane/prototype-sourcing win to show — measured ~1.0-1.1x,
-within run-to-run noise, so the floor is wide (recorded, not gated
-high — see docs/specs/instance_layout.md). Single-run ratio gates, no
-committed baseline.
-
-Optionally (--native-fresh FILE) gates the native-codegen numbers from
-a fresh bench_navigation NativeChain/NativeConditionedChain run: the
-x86-64 step functions (native:1) must beat the threaded-code
-interpreter (native:0) by at least --min-native-speedup (default 1.15)
-at n:100 on the better of the two chain shapes. Single-run ratio gate,
-no committed baseline; only meaningful on emitter-enabled builds (an
-EXOTICA_NATIVE_CODEGEN=OFF build runs threaded code in both arms and
-the ratio sits at ~1.0, so that configuration must not pass this flag).
+End-to-end cost is gated separately, by perfbench/ (see BENCHMARK.json).
 
 Usage:
-  build/bench/bench_navigation --benchmark_format=json \
-      --benchmark_filter='ConditionedChain|StepChain' \
-      --benchmark_repetitions=3 > fresh_nav.json
   build/bench/bench_recovery --benchmark_format=json \
       --benchmark_filter='RecoverAfterHistory' \
       --benchmark_repetitions=3 > fresh_recovery.json
-  build/bench/bench_navigation --benchmark_format=json \
-      --benchmark_filter='PackedChain' \
-      --benchmark_repetitions=3 > fresh_layout.json
-  tools/check_bench_regression.py --baseline BENCH_cond.json \
-      --fresh fresh_nav.json [--tolerance 0.10] [--min-step-speedup 1.2] \
-      [--recovery-fresh fresh_recovery.json] \
-      [--layout-fresh fresh_layout.json]
+  tools/check_bench_regression.py --recovery-fresh fresh_recovery.json
 
 Exit status: 0 = all gates pass, 1 = regression, 2 = missing data.
 """
@@ -93,63 +47,19 @@ def median_times(bench_json):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--baseline", required=True,
-                    help="committed BENCH_cond.json (summary holds the "
-                         "conditioned_chain_*_speedup_vm ratios)")
-    ap.add_argument("--fresh", required=True,
+    ap.add_argument("--recovery-fresh", required=True,
                     help="google-benchmark JSON from a fresh "
-                         "bench_navigation run (ConditionedChain, and "
-                         "StepChain if --min-step-speedup is used)")
-    ap.add_argument("--tolerance", type=float, default=0.10,
-                    help="allowed relative drop in the vm speedup "
-                         "(default 0.10 = 10%%)")
-    ap.add_argument("--min-step-speedup", type=float, default=None,
-                    help="if set, require step:1 vs vm:1 >= R on the "
-                         "best chain length")
-    ap.add_argument("--recovery-fresh", default=None,
-                    help="google-benchmark JSON from a fresh "
-                         "bench_recovery RecoverAfterHistory run; "
-                         "enables the snapshot-recovery gates")
+                         "bench_recovery RecoverAfterHistory run")
     ap.add_argument("--max-snapshot-flatness", type=float, default=1.2,
                     help="max allowed t(history:100)/t(history:10) with "
                          "snapshots on (default 1.2)")
     ap.add_argument("--min-snapshot-speedup", type=float, default=2.0,
                     help="min required snap:0/snap:1 recovery speedup at "
                          "history:100 (default 2.0)")
-    ap.add_argument("--layout-fresh", default=None,
-                    help="google-benchmark JSON from a fresh "
-                         "bench_navigation PackedChain run; enables the "
-                         "instance-layout gates")
-    ap.add_argument("--layout-spinup-fresh", default=None,
-                    help="google-benchmark JSON from a fresh bench_fleet "
-                         "PackedStartInstance run (optional; spin-up gate "
-                         "is skipped when its rows are absent)")
-    ap.add_argument("--min-packed-speedup", type=float, default=0.90,
-                    help="no-regression floor for packed:0/packed:1 on "
-                         "the n:1000 fused chain (default 0.90; the "
-                         "ratio is ~1.0-1.1 but swings with machine "
-                         "noise)")
-    ap.add_argument("--min-packed-spinup", type=float, default=1.15,
-                    help="min required packed:0/packed:1 StartInstance "
-                         "speedup at n:100 — the headline layout gate "
-                         "(default 1.15)")
-    ap.add_argument("--native-fresh", default=None,
-                    help="google-benchmark JSON from a fresh "
-                         "bench_navigation NativeChain/"
-                         "NativeConditionedChain run; enables the "
-                         "native-codegen gate (emitter builds only)")
-    ap.add_argument("--min-native-speedup", type=float, default=1.15,
-                    help="min required native:0/native:1 speedup at "
-                         "n:100 on the better chain shape (default 1.15)")
     args = ap.parse_args()
 
-    with open(args.baseline) as f:
-        baseline = json.load(f)
-    with open(args.fresh) as f:
-        fresh = json.load(f)
-
-    base_summary = baseline.get("summary", {})
-    times = median_times(fresh)
+    with open(args.recovery_fresh) as f:
+        times = median_times(json.load(f))
 
     def ratio(base_key, test_key):
         base, test = times.get(base_key), times.get(test_key)
@@ -157,151 +67,27 @@ def main():
             return None
         return base / test
 
-    failures = []
-    checked = 0
-    for n in (100, 1000):
-        key = f"conditioned_chain_{n}_speedup_vm"
-        base_speedup = base_summary.get(key)
-        if base_speedup is None:
-            continue
-        fresh_speedup = ratio(
-            f"BM_ConditionedChainNavigation/n:{n}/vm:0",
-            f"BM_ConditionedChainNavigation/n:{n}/vm:1")
-        if fresh_speedup is None:
-            print(f"MISSING {key}: fresh run has no n:{n} vm rows")
-            return 2
-        checked += 1
-        floor = (1.0 - args.tolerance) * base_speedup
-        verdict = "ok" if fresh_speedup >= floor else "REGRESSION"
-        print(f"{verdict} {key}: fresh {fresh_speedup:.3f} vs baseline "
-              f"{base_speedup:.3f} (floor {floor:.3f})")
-        if fresh_speedup < floor:
-            failures.append(key)
-
-    if checked == 0:
-        print("MISSING: baseline summary has no conditioned_chain keys")
+    flatness = ratio("BM_RecoverAfterHistory/history:100/snap:1",
+                     "BM_RecoverAfterHistory/history:10/snap:1")
+    speedup = ratio("BM_RecoverAfterHistory/history:100/snap:0",
+                    "BM_RecoverAfterHistory/history:100/snap:1")
+    if flatness is None or speedup is None:
+        print("MISSING: recovery run has no RecoverAfterHistory "
+              "history/snap rows")
         return 2
 
-    if args.min_step_speedup is not None:
-        ladder = {}
-        for n in (100, 1000):
-            r = ratio(f"BM_ConditionedChainNavigation/n:{n}/vm:1",
-                      f"BM_StepChainNavigation/n:{n}/step:1")
-            if r is not None:
-                ladder[n] = r
-        if not ladder:
-            print("MISSING: fresh run has no StepChain step:1 rows")
-            return 2
-        best_n = max(ladder, key=ladder.get)
-        best = ladder[best_n]
-        verdict = "ok" if best >= args.min_step_speedup else "REGRESSION"
-        print(f"{verdict} step ladder: best {best:.3f}x at n:{best_n} "
-              f"(all: {({k: round(v, 3) for k, v in ladder.items()})}), "
-              f"required >= {args.min_step_speedup}")
-        if best < args.min_step_speedup:
-            failures.append("step_ladder")
-
-    if args.recovery_fresh is not None:
-        with open(args.recovery_fresh) as f:
-            recovery = json.load(f)
-        rec_times = median_times(recovery)
-
-        def rec_ratio(base_key, test_key):
-            base, test = rec_times.get(base_key), rec_times.get(test_key)
-            if base is None or test is None or test == 0:
-                return None
-            return base / test
-
-        flatness = rec_ratio("BM_RecoverAfterHistory/history:100/snap:1",
-                             "BM_RecoverAfterHistory/history:10/snap:1")
-        speedup = rec_ratio("BM_RecoverAfterHistory/history:100/snap:0",
-                            "BM_RecoverAfterHistory/history:100/snap:1")
-        if flatness is None or speedup is None:
-            print("MISSING: recovery run has no RecoverAfterHistory "
-                  "history/snap rows")
-            return 2
-        verdict = "ok" if flatness <= args.max_snapshot_flatness \
-            else "REGRESSION"
-        print(f"{verdict} snapshot flatness: 10x history costs "
-              f"{flatness:.3f}x with checkpoints on, required <= "
-              f"{args.max_snapshot_flatness}")
-        if flatness > args.max_snapshot_flatness:
-            failures.append("snapshot_flatness")
-        verdict = "ok" if speedup >= args.min_snapshot_speedup \
-            else "REGRESSION"
-        print(f"{verdict} snapshot speedup: checkpointed recovery beats "
-              f"full replay {speedup:.3f}x at history:100, required >= "
-              f"{args.min_snapshot_speedup}")
-        if speedup < args.min_snapshot_speedup:
-            failures.append("snapshot_speedup")
-
-    if args.layout_fresh is not None:
-        with open(args.layout_fresh) as f:
-            layout = json.load(f)
-        lay_times = median_times(layout)
-        if args.layout_spinup_fresh is not None:
-            with open(args.layout_spinup_fresh) as f:
-                lay_times.update(median_times(json.load(f)))
-
-        def lay_ratio(base_key, test_key):
-            base, test = lay_times.get(base_key), lay_times.get(test_key)
-            if base is None or test is None or test == 0:
-                return None
-            return base / test
-
-        packed = lay_ratio("BM_PackedChainNavigation/n:1000/packed:0",
-                           "BM_PackedChainNavigation/n:1000/packed:1")
-        if packed is None:
-            print("MISSING: layout run has no PackedChainNavigation "
-                  "n:1000 packed rows")
-            return 2
-        verdict = "ok" if packed >= args.min_packed_speedup else "REGRESSION"
-        print(f"{verdict} packed navigation floor: SoA vs AoS "
-              f"{packed:.3f}x on the n:1000 fused chain, required >= "
-              f"{args.min_packed_speedup}")
-        if packed < args.min_packed_speedup:
-            failures.append("packed_layout")
-        spinup = lay_ratio("BM_PackedStartInstance/n:100/packed:0",
-                           "BM_PackedStartInstance/n:100/packed:1")
-        if spinup is not None:
-            verdict = "ok" if spinup >= args.min_packed_spinup \
-                else "REGRESSION"
-            print(f"{verdict} packed spin-up: {spinup:.3f}x vs legacy "
-                  f"at n:100, required >= {args.min_packed_spinup}")
-            if spinup < args.min_packed_spinup:
-                failures.append("packed_spinup")
-
-    if args.native_fresh is not None:
-        with open(args.native_fresh) as f:
-            native = json.load(f)
-        nat_times = median_times(native)
-
-        def nat_ratio(base_key, test_key):
-            base, test = nat_times.get(base_key), nat_times.get(test_key)
-            if base is None or test is None or test == 0:
-                return None
-            return base / test
-
-        shapes = {}
-        for bench in ("BM_NativeChainNavigation",
-                      "BM_NativeConditionedChain"):
-            r = nat_ratio(f"{bench}/n:100/native:0",
-                          f"{bench}/n:100/native:1")
-            if r is not None:
-                shapes[bench] = r
-        if not shapes:
-            print("MISSING: native run has no NativeChain n:100 rows")
-            return 2
-        best_shape = max(shapes, key=shapes.get)
-        best = shapes[best_shape]
-        verdict = "ok" if best >= args.min_native_speedup else "REGRESSION"
-        print(f"{verdict} native codegen: best {best:.3f}x at n:100 "
-              f"({best_shape}; all: "
-              f"{({k: round(v, 3) for k, v in shapes.items()})}), "
-              f"required >= {args.min_native_speedup}")
-        if best < args.min_native_speedup:
-            failures.append("native_codegen")
-
+    failures = []
+    verdict = "ok" if flatness <= args.max_snapshot_flatness else "REGRESSION"
+    print(f"{verdict} snapshot flatness: 10x history costs {flatness:.3f}x "
+          f"with checkpoints on, required <= {args.max_snapshot_flatness}")
+    if flatness > args.max_snapshot_flatness:
+        failures.append("snapshot_flatness")
+    verdict = "ok" if speedup >= args.min_snapshot_speedup else "REGRESSION"
+    print(f"{verdict} snapshot speedup: checkpointed recovery beats full "
+          f"replay {speedup:.3f}x at history:100, required >= "
+          f"{args.min_snapshot_speedup}")
+    if speedup < args.min_snapshot_speedup:
+        failures.append("snapshot_speedup")
     return 1 if failures else 0
 
 
